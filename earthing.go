@@ -186,18 +186,17 @@ const (
 	SolverHMatrix = core.SolverHMatrix
 )
 
-// Loop strategies, assembly modes and kernel strategies.
+// Loop strategies, assembly modes and the kernel strategy.
 const (
 	OuterLoop         = bem.OuterLoop
 	InnerLoop         = bem.InnerLoop
 	StoreThenAssemble = bem.StoreThenAssemble
 	MutexAssemble     = bem.MutexAssemble
-	// ReferenceKernel (default) evaluates image-series inner integrals with
-	// the bit-exact per-image closed forms; FlatKernel streams precomputed
-	// per-depth image tables (≈2× faster single-thread, results within 1e-10
-	// relative). Select with WithFlatAssembly or Config.BEM.Kernel.
-	ReferenceKernel = bem.ReferenceKernel
-	FlatKernel      = bem.FlatKernel
+	// FlatKernel is the only matrix-generation kernel: it streams
+	// precomputed per-depth image tables through a log-form inner integral.
+	// Config.BEM.Kernel is ignored; the constant remains for source
+	// compatibility.
+	FlatKernel = bem.FlatKernel
 )
 
 // Schedule kinds.

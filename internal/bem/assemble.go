@@ -123,8 +123,10 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 }
 
 // Footprint estimates the resident bytes an assembler pins beyond its mesh:
-// the quadrature geometry plus the per-layer-pair image expansions (32 B per
-// soil.Image). It is the sizing input of groundd's byte-bounded cache of
+// the quadrature geometry, the per-layer-pair image expansions (32 B per
+// soil.Image) and the field-evaluation plans of every observation layer
+// (headers plus shared ladders), counted whether or not the plans have been
+// built yet. It is the sizing input of groundd's byte-bounded cache of
 // solved systems.
 func (a *Assembler) Footprint() int64 {
 	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8
@@ -132,6 +134,9 @@ func (a *Assembler) Footprint() int64 {
 		for _, imgs := range series {
 			n += int64(len(imgs)) * 32
 		}
+	}
+	for l := 1; l <= a.model.NumLayers(); l++ {
+		n += a.planShapeOf(l).bytes()
 	}
 	return n
 }
@@ -362,83 +367,19 @@ func (a *Assembler) runPairLoop(ctx context.Context, body func(beta, alpha int, 
 // (row-major k×k, out[j·k+i] = ∫_β w_j ∫_α N_i G dΓ_α dΓ_β): the double
 // integral of eq. (4.5) with the kernel series truncated group by group
 // "until a tolerance is fulfilled or an upper limit of summands is achieved"
-// (§4.3).
+// (§4.3). Layer pairs with an image expansion run the flat kernel
+// (flatkernel.go); the rest fall back to quadrature.
 func (a *Assembler) pairMatrix(beta, alpha int, out []float64, s *pairScratch) {
 	for i := range out {
 		out[i] = 0
 	}
 	if _, ok := a.groups[[2]int{a.elemLayer[alpha], a.elemLayer[beta]}]; ok {
-		if a.opt.Kernel == FlatKernel {
-			a.pairMatrixFlat(beta, alpha, out, s)
-		} else {
-			a.pairMatrixImages(beta, alpha, out, s)
-		}
+		a.pairMatrixFlat(beta, alpha, out, s)
 	} else {
 		faultinject.Fire(faultinject.Quadrature, beta, out)
 		a.pairMatrixQuadrature(beta, alpha, out, s)
 	}
 	faultinject.Fire(faultinject.AssemblyPair, beta, out)
-}
-
-func (a *Assembler) pairMatrixImages(beta, alpha int, out []float64, s *pairScratch) {
-	k := a.k
-	elA := &a.mesh.Elements[alpha]
-	elB := &a.mesh.Elements[beta]
-	srcLayer := a.elemLayer[alpha]
-	obsLayer := a.elemLayer[beta]
-	groups := a.groups[[2]int{srcLayer, obsLayer}]
-	pref := 1 / (4 * math.Pi * a.model.Conductivity(srcLayer))
-	lenB := elB.Seg.Length()
-
-	// Near pairs (self, touching, adjacent) get the refined outer rule: the
-	// inner analytic integral varies sharply along the test element there.
-	gpPos, gpW, gpShape := a.gpPos[beta], a.gpW, a.gpShape
-	if beta == alpha ||
-		elB.Seg.DistToSegment(elA.Seg) < 0.5*(lenB+elA.Seg.Length()) {
-		gpPos, gpW, gpShape = a.gpPosN[beta], a.gpWN, a.gpShapeN
-	}
-
-	maxAccum := 0.0
-	smallGroups := 0
-	for _, grp := range groups {
-		for i := range s.group {
-			s.group[i] = 0
-		}
-		for _, im := range grp {
-			segI := im.ApplySegment(elA.Seg)
-			for g, chi := range gpPos {
-				shapeIntegrals(chi, segI.A, segI.B, elA.Radius, a.linear, s.inner)
-				wg := gpW[g] * lenB * im.Weight
-				for j := 0; j < k; j++ {
-					wj := wg * gpShape[g][j]
-					for i := 0; i < k; i++ {
-						s.group[j*k+i] += wj * s.inner[i]
-					}
-				}
-			}
-		}
-		gmax := 0.0
-		for i, v := range s.group {
-			out[i] += v
-			if av := math.Abs(v); av > gmax {
-				gmax = av
-			}
-			if av := math.Abs(out[i]); av > maxAccum {
-				maxAccum = av
-			}
-		}
-		if gmax <= a.opt.SeriesTol*maxAccum {
-			smallGroups++
-			if smallGroups >= 2 {
-				break
-			}
-		} else {
-			smallGroups = 0
-		}
-	}
-	for i := range out {
-		out[i] *= pref
-	}
 }
 
 // pairMatrixQuadrature is the fallback for models without an image

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"earthing/internal/geom"
 	"earthing/internal/quad"
@@ -66,8 +67,9 @@ type evalPlan struct {
 	// loop range over subslices bounds-check-free.
 	imgs []planImage
 	// grpOff[g] is the first image of series group g; group g spans
-	// imgs[grpOff[g]:grpOff[g+1]]. Elements own the consecutive group ranges
-	// [planElem.grpLo, planElem.grpHi); a trailing sentinel closes the last.
+	// imgs[grpOff[g]:grpOff[g+1]]. A ladder is a consecutive group range
+	// [planElem.grpLo, planElem.grpHi), shared by every element with the
+	// same ladderKey; a trailing sentinel closes the last.
 	grpOff []int32
 }
 
@@ -117,23 +119,54 @@ func (fe *FieldEvaluator) plan(obsLayer int) *evalPlan {
 
 // buildPlan flattens every element's image expansion for one observation
 // layer. This is the precompute half of the engine: ApplySegment and the
-// per-element prefactors run once here instead of once per point.
+// per-element prefactors run once here instead of once per point. Elements
+// with the same ladder key share one flattened ladder (see planShapeOf), and
+// every slice is allocated at its final size, so planShape.bytes is exact.
 func buildPlan(a *Assembler, obsLayer int) *evalPlan {
-	p := &evalPlan{byElem: make([]int32, len(a.mesh.Elements))}
-	for e := range a.mesh.Elements {
+	sh := a.planShapeOf(obsLayer)
+	m := len(a.mesh.Elements)
+	p := &evalPlan{
+		elems:  make([]planElem, 0, m-sh.quad),
+		byElem: make([]int32, m),
+		imgs:   make([]planImage, 0, sh.imgs),
+		grpOff: make([]int32, 0, sh.groups+1),
+	}
+	if sh.quad > 0 {
+		p.quadElems = make([]int32, 0, sh.quad)
+	}
+	// Flatten each distinct ladder once, from the first element using it.
+	span := make([][2]int32, len(sh.firsts))
+	for li, e := range sh.firsts {
 		el := &a.mesh.Elements[e]
-		srcLayer := a.elemLayer[e]
-		groups, ok := a.groups[[2]int{srcLayer, obsLayer}]
-		if !ok {
+		tz := el.Seg.Dir().Z
+		span[li][0] = int32(len(p.grpOff))
+		for _, grp := range a.groups[[2]int{a.elemLayer[e], obsLayer}] {
+			p.grpOff = append(p.grpOff, int32(len(p.imgs)))
+			for _, im := range grp {
+				p.imgs = append(p.imgs, planImage{
+					az: im.Sign*el.Seg.A.Z + im.Offset,
+					sz: im.Sign * tz,
+					w:  im.Weight,
+				})
+			}
+		}
+		span[li][1] = int32(len(p.grpOff))
+	}
+	p.grpOff = append(p.grpOff, int32(len(p.imgs)))
+
+	for e := range a.mesh.Elements {
+		li := sh.ladder[e]
+		if li < 0 {
 			p.byElem[e] = -1
 			p.quadElems = append(p.quadElems, int32(e))
 			continue
 		}
+		el := &a.mesh.Elements[e]
 		p.byElem[e] = int32(len(p.elems))
 		l := el.Seg.Length()
 		t := el.Seg.Dir()
 		pe := planElem{
-			pref:    1 / (4 * math.Pi * a.model.Conductivity(srcLayer)),
+			pref:    1 / (4 * math.Pi * a.model.Conductivity(a.elemLayer[e])),
 			radius2: el.Radius * el.Radius,
 			l:       l,
 			ax:      el.Seg.A.X,
@@ -142,7 +175,8 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 			ty:      t.Y,
 			tz:      t.Z,
 			dof0:    int32(el.DoF[0]),
-			grpLo:   int32(len(p.grpOff)),
+			grpLo:   span[li][0],
+			grpHi:   span[li][1],
 		}
 		if l > 0 {
 			pe.invL = 1 / l
@@ -150,21 +184,70 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 		if a.linear {
 			pe.dof1 = int32(el.DoF[1])
 		}
-		for _, grp := range groups {
-			p.grpOff = append(p.grpOff, int32(len(p.imgs)))
-			for _, im := range grp {
-				p.imgs = append(p.imgs, planImage{
-					az: im.Sign*el.Seg.A.Z + im.Offset,
-					sz: im.Sign * t.Z,
-					w:  im.Weight,
-				})
-			}
-		}
-		pe.grpHi = int32(len(p.grpOff))
 		p.elems = append(p.elems, pe)
 	}
-	p.grpOff = append(p.grpOff, int32(len(p.imgs)))
 	return p
+}
+
+// ladderKey identifies a flattened image ladder within one observation
+// layer. The stored images (az, sz, w) depend only on the source layer's
+// expansion, the start depth A.Z and the axial direction z of the source
+// segment; the key holds the exact bits of both, so elements that share a
+// key share bit-identical ladders.
+type ladderKey struct {
+	src    int
+	az, tz uint64
+}
+
+// planShape is the layout of the plan for one observation layer, known
+// before the plan is built.
+type planShape struct {
+	ladder []int32 // per element: its ladder's index, −1 for quadrature fallback
+	firsts []int32 // per ladder: the first element that uses it
+	quad   int     // quadrature-fallback elements
+	imgs   int     // images over all distinct ladders
+	groups int     // series groups over all distinct ladders
+}
+
+// planShapeOf assigns every element its ladder in the plan for obsLayer.
+// Grounding grids have few distinct ladder keys — a horizontal mesh at one
+// depth plus its rods — so sharing shrinks a plan from one ladder per
+// element to a handful.
+func (a *Assembler) planShapeOf(obsLayer int) planShape {
+	sh := planShape{ladder: make([]int32, len(a.mesh.Elements))}
+	index := map[ladderKey]int32{}
+	for e := range a.mesh.Elements {
+		src := a.elemLayer[e]
+		series, ok := a.groups[[2]int{src, obsLayer}]
+		if !ok {
+			sh.ladder[e] = -1
+			sh.quad++
+			continue
+		}
+		seg := &a.mesh.Elements[e].Seg
+		k := ladderKey{src, math.Float64bits(seg.A.Z), math.Float64bits(seg.Dir().Z)}
+		li, ok := index[k]
+		if !ok {
+			li = int32(len(sh.firsts))
+			index[k] = li
+			sh.firsts = append(sh.firsts, int32(e))
+			sh.groups += len(series)
+			for _, grp := range series {
+				sh.imgs += len(grp)
+			}
+		}
+		sh.ladder[e] = li
+	}
+	return sh
+}
+
+// bytes returns the resident size of the plan with this shape: header,
+// element index, per-element headers and shared ladders.
+func (sh planShape) bytes() int64 {
+	m, quad := int64(len(sh.ladder)), int64(sh.quad)
+	return int64(unsafe.Sizeof(evalPlan{})) + 4*m +
+		int64(unsafe.Sizeof(planElem{}))*(m-quad) + 4*quad +
+		int64(unsafe.Sizeof(planImage{}))*int64(sh.imgs) + 4*int64(sh.groups+1)
 }
 
 // logI0 returns i0 = asinh(q/ρ) + asinh(p/ρ) = log((q+r1)(p+r0)/ρ²), where

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"earthing/internal/geom"
 	"earthing/internal/grid"
@@ -194,6 +195,74 @@ func TestEvaluatorCachedAndConcurrent(t *testing.T) {
 	for i, v := range out {
 		if math.IsNaN(v) {
 			t.Fatalf("NaN at point %d", i)
+		}
+	}
+}
+
+// builtPlanBytes is the resident size of a built plan, from its slice
+// capacities.
+func builtPlanBytes(p *evalPlan) int64 {
+	return int64(unsafe.Sizeof(*p)) +
+		int64(cap(p.elems))*int64(unsafe.Sizeof(planElem{})) +
+		4*int64(cap(p.byElem)+cap(p.quadElems)+cap(p.grpOff)) +
+		int64(cap(p.imgs))*int64(unsafe.Sizeof(planImage{}))
+}
+
+// TestPlanLaddersShared pins the ladder sharing of buildPlan: on Balaidos
+// under soil C the 241 elements need just three ladders (grid conductors,
+// and the rod pieces above and below the interface), and every element's
+// shared ladder holds exactly the images its own reflection produces.
+func TestPlanLaddersShared(t *testing.T) {
+	model := soil.NewTwoLayer(0.0025, 0.020, 1.0)
+	m := balaidosFixtureMesh(t, 1.0, 1)
+	a, err := New(m, model, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for obs := 1; obs <= model.NumLayers(); obs++ {
+		if n := len(a.planShapeOf(obs).firsts); n != 3 {
+			t.Errorf("observation layer %d: %d ladders, want 3", obs, n)
+		}
+		p := a.Evaluator().plan(obs)
+		for e := range m.Elements {
+			el := &m.Elements[e]
+			pe := &p.elems[p.byElem[e]]
+			groups := a.groups[[2]int{a.elemLayer[e], obs}]
+			if int(pe.grpHi-pe.grpLo) != len(groups) {
+				t.Fatalf("element %d: %d groups in its ladder, want %d", e, pe.grpHi-pe.grpLo, len(groups))
+			}
+			for g, grp := range groups {
+				got := p.imgs[p.grpOff[pe.grpLo+int32(g)]:p.grpOff[pe.grpLo+int32(g)+1]]
+				if len(got) != len(grp) {
+					t.Fatalf("element %d group %d: %d images, want %d", e, g, len(got), len(grp))
+				}
+				for i, im := range grp {
+					want := planImage{az: im.Sign*el.Seg.A.Z + im.Offset, sz: im.Sign * el.Seg.Dir().Z, w: im.Weight}
+					if got[i] != want {
+						t.Fatalf("element %d group %d image %d: shared %+v, own %+v", e, g, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFootprintCountsPlans pins that Footprint bounds the plans from above
+// whether or not they have been built: it is the same before and after the
+// lazy build, and at least the geometry plus the built plans' bytes.
+func TestFootprintCountsPlans(t *testing.T) {
+	for name, model := range flatFixtureModels(t) {
+		a, _ := fieldEvalFixture(t, model, grid.Linear)
+		before := a.Footprint()
+		built := a.Geometry.Footprint()
+		for obs := 1; obs <= model.NumLayers(); obs++ {
+			built += builtPlanBytes(a.Evaluator().plan(obs))
+		}
+		if after := a.Footprint(); after != before {
+			t.Errorf("%s: Footprint %d before the plans were built, %d after", name, before, after)
+		}
+		if before < built {
+			t.Errorf("%s: Footprint %d < geometry + built plans %d", name, before, built)
 		}
 	}
 }

@@ -44,9 +44,10 @@ func quantGeom(x float64) float64 {
 	return math.Float64frombits(b)
 }
 
-// pairMatrixFlat computes the same elemental matrix as pairMatrixImages from
-// the flattened per-depth image tables of the field-evaluation plan
-// (fieldeval.go). The legacy kernel re-derives every image-reflected segment
+// pairMatrixFlat computes the image-series elemental matrix from the
+// flattened per-depth image tables of the field-evaluation plan
+// (fieldeval.go). The reference kernel — kept as the test oracle in
+// reference_test.go — re-derives every image-reflected segment
 // (im.ApplySegment) and evaluates two asinh calls per (image, Gauss point);
 // here the reflection is three precomputed scalars (az, sz, w), the
 // observation geometry of each Gauss point is hoisted out of the image loop,
@@ -56,7 +57,7 @@ func quantGeom(x float64) float64 {
 // into one call per Gauss point (fusedGroup), and far terms replace the
 // logarithm with a Maclaurin polynomial (asinhRatio). Series-group order,
 // the per-group tolerance early-exit and the near-pair rule selection mirror
-// the legacy path exactly, so truncation decisions agree; the remaining
+// the reference exactly, so truncation decisions agree; the remaining
 // difference is ulp-level arithmetic reassociation (grid resistances agree
 // to ≤ 1e-10 relative, pinned by the equivalence tests).
 func (a *Assembler) pairMatrixFlat(beta, alpha int, out []float64, s *pairScratch) {

@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -41,47 +42,72 @@ func flatFixtureMesh(t *testing.T, model soil.Model, kind grid.ElementKind) *gri
 	return m
 }
 
+// balaidosFixtureMesh discretizes the paper's Balaidos grid as the engine's
+// preprocessing does: conductors split at the soil interface, one element per
+// horizontal conductor and rods elements per vertical piece.
+func balaidosFixtureMesh(t *testing.T, depth float64, rods int) *grid.Mesh {
+	t.Helper()
+	m, err := grid.DiscretizeN(grid.Balaidos().SplitAtDepths(depth), grid.Linear, func(c grid.Conductor) int {
+		if c.Seg.IsVertical(1e-9) {
+			return rods
+		}
+		return 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestFlatKernelMatchesReference pins the flat assembly kernel to the
-// reference: every global matrix entry agrees to ≤ 1e-12 relative and the
-// equivalent resistance of the solved system to ≤ 1e-10 relative (the
-// acceptance bar), across soil models and element kinds.
+// reference oracle (reference_test.go): every global matrix entry agrees to
+// ≤ 1e-12 relative and the equivalent resistance of the solved system to
+// ≤ 1e-10 relative (the acceptance bar), across soil models and element
+// kinds, and on the paper's Balaidos discretizations under the two-layer
+// soils B and C of §5.2.
 func TestFlatKernelMatchesReference(t *testing.T) {
+	type fixture struct {
+		name  string
+		mesh  *grid.Mesh
+		model soil.Model
+	}
+	var cases []fixture
 	for name, model := range flatFixtureModels(t) {
 		for _, kind := range []grid.ElementKind{grid.Linear, grid.Constant} {
-			m := flatFixtureMesh(t, model, kind)
-			ref, err := New(m, model, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, err := New(m, model, Options{Workers: 1, Kernel: FlatKernel})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rRef, _, err := ref.Matrix()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rFlat, _, err := flat.Matrix()
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := rRef.Order()
-			scale := rRef.MaxAbs()
-			for i := 0; i < n; i++ {
-				for j := 0; j <= i; j++ {
-					d := math.Abs(rRef.At(i, j) - rFlat.At(i, j))
-					if d > 1e-12*scale {
-						t.Fatalf("%s/%v: entry (%d,%d): reference %v flat %v (Δ %g vs scale %g)",
-							name, kind, i, j, rRef.At(i, j), rFlat.At(i, j), d, scale)
-					}
+			cases = append(cases, fixture{fmt.Sprintf("%s/%v", name, kind), flatFixtureMesh(t, model, kind), model})
+		}
+	}
+	if !testing.Short() {
+		cases = append(cases,
+			fixture{"balaidos-B", balaidosFixtureMesh(t, 0.7, 2), soil.NewTwoLayer(0.0025, 0.020, 0.7)},
+			fixture{"balaidos-C", balaidosFixtureMesh(t, 1.0, 1), soil.NewTwoLayer(0.0025, 0.020, 1.0)})
+	}
+	for _, c := range cases {
+		a, err := New(c.mesh, c.model, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rRef := referenceMatrix(t, a)
+		rFlat, _, err := a.Matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := rRef.Order()
+		scale := rRef.MaxAbs()
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				d := math.Abs(rRef.At(i, j) - rFlat.At(i, j))
+				if d > 1e-12*scale {
+					t.Fatalf("%s: entry (%d,%d): reference %v flat %v (Δ %g vs scale %g)",
+						c.name, i, j, rRef.At(i, j), rFlat.At(i, j), d, scale)
 				}
 			}
-			reqRef := solveStoreReq(t, m, rRef)
-			reqFlat := solveStoreReq(t, m, rFlat)
-			if rel := math.Abs(reqRef-reqFlat) / reqRef; rel > 1e-10 {
-				t.Fatalf("%s/%v: Req reference %v flat %v (rel Δ %g > 1e-10)",
-					name, kind, reqRef, reqFlat, rel)
-			}
+		}
+		reqRef := solveStoreReq(t, c.mesh, rRef)
+		reqFlat := solveStoreReq(t, c.mesh, rFlat)
+		if rel := math.Abs(reqRef-reqFlat) / reqRef; rel > 1e-10 {
+			t.Fatalf("%s: Req reference %v flat %v (rel Δ %g > 1e-10)",
+				c.name, reqRef, reqFlat, rel)
 		}
 	}
 }
@@ -105,7 +131,7 @@ func solveStoreReq(t *testing.T, m *grid.Mesh, r *linalg.SymMatrix) float64 {
 func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	m := flatFixtureMesh(t, model, grid.Linear)
-	a, err := New(m, model, Options{Workers: 1, Kernel: FlatKernel})
+	a, err := New(m, model, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,27 +156,24 @@ func TestFlatKernelColumnsMatchMatrix(t *testing.T) {
 }
 
 // TestFlatKernelColumnZeroAllocs proves the arena contract: once the plan and
-// the arena scratch are warm, computing a column allocates nothing, for both
-// kernels.
+// the arena scratch are warm, computing a column allocates nothing.
 func TestFlatKernelColumnZeroAllocs(t *testing.T) {
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	m := flatFixtureMesh(t, model, grid.Linear)
-	for _, kernel := range []KernelStrategy{ReferenceKernel, FlatKernel} {
-		a, err := New(m, model, Options{Workers: 1, Kernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := make([]float64, a.StoreSize())
-		var ar Arena
-		cs := a.ColumnScratchFromArena(&ar)
-		beta := a.NumColumns() - 1
-		a.ComputeColumn(beta, store, cs) // warm the lazy plan
-		allocs := testing.AllocsPerRun(10, func() {
-			a.ComputeColumn(beta, store, a.ColumnScratchFromArena(&ar))
-		})
-		if allocs != 0 {
-			t.Fatalf("kernel %v: %v allocations per warmed column", kernel, allocs)
-		}
+	a, err := New(m, model, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := make([]float64, a.StoreSize())
+	var ar Arena
+	cs := a.ColumnScratchFromArena(&ar)
+	beta := a.NumColumns() - 1
+	a.ComputeColumn(beta, store, cs) // warm the lazy plan
+	allocs := testing.AllocsPerRun(10, func() {
+		a.ComputeColumn(beta, store, a.ColumnScratchFromArena(&ar))
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per warmed column", allocs)
 	}
 }
 
@@ -206,7 +229,7 @@ func TestArenaReuseAcrossAssemblers(t *testing.T) {
 	}
 }
 
-func assemblyBenchAssembler(b *testing.B, kernel KernelStrategy) *Assembler {
+func assemblyBenchAssembler(b *testing.B) *Assembler {
 	b.Helper()
 	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
 	g := grid.RectMesh(0, 0, 30, 30, 4, 4, 0.8, 0.006)
@@ -214,27 +237,26 @@ func assemblyBenchAssembler(b *testing.B, kernel KernelStrategy) *Assembler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := New(m, model, Options{Workers: 1, Kernel: kernel})
+	a, err := New(m, model, Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return a
 }
 
-// BenchmarkAssemblyReference / BenchmarkAssemblyFlat are the CI bench smoke
-// pair for the matrix-generation kernel rewrite (single-thread).
+// BenchmarkAssemblyReference / BenchmarkAssemblyFlat time single-thread
+// matrix generation through the reference oracle and the production flat
+// kernel on the same assembler.
 func BenchmarkAssemblyReference(b *testing.B) {
-	a := assemblyBenchAssembler(b, ReferenceKernel)
+	a := assemblyBenchAssembler(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := a.Matrix(); err != nil {
-			b.Fatal(err)
-		}
+		referenceMatrix(b, a)
 	}
 }
 
 func BenchmarkAssemblyFlat(b *testing.B) {
-	a := assemblyBenchAssembler(b, FlatKernel)
+	a := assemblyBenchAssembler(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := a.Matrix(); err != nil {

@@ -21,14 +21,11 @@ import (
 // AppendPairGeomKey appends the canonical geometric signature of the ordered
 // element pair (beta, alpha) to dst and reports whether the pair supports
 // canonicalized evaluation. It returns ok = false — leaving dst's appended
-// content unspecified — when the assembler does not run the flat kernel or
-// the layer pair has no image expansion (the quadrature fallback path);
-// callers must then evaluate through PairMatrix. Two pairs with equal
-// signatures yield bitwise-identical PairMatrixQuant results.
+// content unspecified — when the layer pair has no image expansion (the
+// quadrature fallback path); callers must then evaluate through PairMatrix.
+// Two pairs with equal signatures yield bitwise-identical PairMatrixQuant
+// results.
 func (a *Assembler) AppendPairGeomKey(beta, alpha int, dst []byte) ([]byte, bool) {
-	if a.opt.Kernel != FlatKernel {
-		return dst, false
-	}
 	p := a.Evaluator().plan(a.elemLayer[beta])
 	pi := p.byElem[alpha]
 	if pi < 0 {

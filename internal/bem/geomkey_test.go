@@ -21,7 +21,7 @@ func TestPairGeomKeyCanonicalizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm, err := New(m, soil.NewTwoLayer(0.02, 0.005, 2.0), Options{Kernel: FlatKernel})
+	asm, err := New(m, soil.NewTwoLayer(0.02, 0.005, 2.0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +83,10 @@ func TestPairGeomKeyCanonicalizes(t *testing.T) {
 		pairs, len(byKey), shared, worstRel)
 }
 
-// TestPairGeomKeyUnsupported checks the two refusal paths: an assembler on
-// the reference kernel has no flat plan to canonicalize, and a layer pair
-// without an image expansion (the quadrature fallback in a 3-layer model)
-// cannot be keyed either.
+// TestPairGeomKeyUnsupported checks the refusal path: a layer pair without
+// an image expansion (the quadrature fallback in a 3-layer model) cannot be
+// keyed.
 func TestPairGeomKeyUnsupported(t *testing.T) {
-	g := grid.RectMesh(0, 0, 8, 8, 2, 2, 0.5, 0.01)
-	m, err := grid.Discretize(g, grid.Linear, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := New(m, soil.NewUniform(0.02), Options{Kernel: ReferenceKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ref.AppendPairGeomKey(1, 0, nil); ok {
-		t.Error("reference-kernel assembler reported a canonical signature")
-	}
-
 	three, err := soil.NewMultiLayer([]float64{0.02, 0.008, 0.03}, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +103,7 @@ func TestPairGeomKeyUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm, err := New(dm, three, Options{Kernel: FlatKernel})
+	asm, err := New(dm, three, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,36 +31,23 @@ func (l LoopStrategy) String() string {
 	}
 }
 
-// KernelStrategy selects the arithmetic used for the image-series inner
-// integrals of matrix generation.
+// KernelStrategy names the arithmetic of the image-series inner integrals.
+// The flat kernel is the only one; the type and its constant remain so code
+// that sets Options.Kernel keeps compiling.
 type KernelStrategy int
 
-const (
-	// ReferenceKernel evaluates every image-reflected segment through the
-	// closed-form asinh inner integrals (segmentIntegrals), re-deriving the
-	// reflected geometry per image. This is the bit-exact reference path and
-	// the default.
-	ReferenceKernel KernelStrategy = iota
-	// FlatKernel streams the per-depth image coefficient tables of the field
-	// evaluation plan (three scalars per image) through a hoisted
-	// log-form inner integral: one logarithm and two square roots per
-	// (image, Gauss point) instead of two asinh calls and the full segment
-	// reflection. Elemental matrices agree with ReferenceKernel to a few ulp
-	// (grid resistances to ≤ 1e-10 relative); select it for speed, the
-	// reference for transcript-exact reproducibility.
-	FlatKernel
-)
+// FlatKernel streams the per-depth image coefficient tables of the field
+// evaluation plan (three scalars per image) through a hoisted log-form inner
+// integral: one logarithm and two square roots per (image, Gauss point). It
+// is the zero value and the only kernel.
+const FlatKernel KernelStrategy = 0
 
 // String implements fmt.Stringer.
 func (k KernelStrategy) String() string {
-	switch k {
-	case ReferenceKernel:
-		return "reference"
-	case FlatKernel:
+	if k == FlatKernel {
 		return "flat"
-	default:
-		return fmt.Sprintf("KernelStrategy(%d)", int(k))
 	}
+	return fmt.Sprintf("KernelStrategy(%d)", int(k))
 }
 
 // AssemblyMode selects how elemental matrices reach the global matrix.
@@ -119,8 +106,8 @@ type Options struct {
 	Loop LoopStrategy
 	// Assembly selects deferred or mutex assembly (§6.2).
 	Assembly AssemblyMode
-	// Kernel selects the inner-integral arithmetic: the bit-exact reference
-	// (default) or the flat precomputed-image fast path.
+	// Kernel is ignored: every assembler runs the flat kernel. The field
+	// remains for source compatibility.
 	Kernel KernelStrategy
 }
 

@@ -15,11 +15,10 @@ import (
 )
 
 // AssemblyCaseBench records the hot-path benchmark for one Balaidos soil
-// case: reference image-series kernel vs the flat kernel for matrix
-// generation, and the row-by-row reference Cholesky vs the blocked (and
-// mixed-precision) packed factorization. Single-thread times are minima over
-// Quality.Repeats; the *_parallel_ms rows rerun assembly at the configured
-// worker width.
+// case: flat-kernel matrix generation at one and at the configured worker
+// width, and the row-by-row reference Cholesky vs the blocked (and
+// mixed-precision) packed factorization. Times are minima over
+// Quality.Repeats.
 type AssemblyCaseBench struct {
 	// Soil is the §5.2 case name (A/B/C).
 	Soil string `json:"soil"`
@@ -27,34 +26,22 @@ type AssemblyCaseBench struct {
 	Elements int `json:"elements"`
 	DoF      int `json:"dof"`
 
-	// Single-thread assembly wall times per kernel.
-	AssemblyRefMs  float64 `json:"assembly_reference_ms"`
-	AssemblyFlatMs float64 `json:"assembly_flat_ms"`
-	// Parallel assembly wall times per kernel.
-	AssemblyRefParMs  float64 `json:"assembly_reference_parallel_ms"`
-	AssemblyFlatParMs float64 `json:"assembly_flat_parallel_ms"`
+	// Assembly wall times, single-thread and parallel.
+	AssemblyMs    float64 `json:"assembly_ms"`
+	AssemblyParMs float64 `json:"assembly_parallel_ms"`
 
 	// Single-thread factorization wall times.
 	FactorRefMs     float64 `json:"factor_reference_ms"`
 	FactorBlockedMs float64 `json:"factor_blocked_ms"`
 	FactorMixedMs   float64 `json:"factor_mixed_ms"`
 
-	// Combined matrix generation (assembly + factorization), single thread:
-	// reference kernel + reference Cholesky vs flat kernel + blocked
-	// Cholesky.
-	CombinedRefMs   float64 `json:"combined_reference_ms"`
-	CombinedFastMs  float64 `json:"combined_fast_ms"`
-	CombinedSpeedup float64 `json:"combined_speedup"`
-
-	// ReqReference is the grid resistance of the reference path (Ω).
-	ReqReference float64 `json:"req_reference_ohm"`
+	// Req is the grid resistance through the reference Cholesky (Ω).
+	Req float64 `json:"req_ohm"`
 	// BlockedBitIdentical reports whether the blocked float64 factorization
 	// reproduces the reference solution bit for bit (contract: always true).
 	BlockedBitIdentical bool `json:"blocked_bit_identical"`
-	// MaxAbsDiffReqFlat / MaxAbsDiffReqMixed are |ΔReq| of the flat-kernel
-	// and mixed-precision paths against the reference (contract: ≤ 1e-10
-	// relative; recorded in Ω).
-	MaxAbsDiffReqFlat  float64 `json:"max_abs_diff_req_flat_ohm"`
+	// MaxAbsDiffReqMixed is |ΔReq| of the mixed-precision path against the
+	// reference factorization (contract: ≤ 1e-10 relative; recorded in Ω).
 	MaxAbsDiffReqMixed float64 `json:"max_abs_diff_req_mixed_ohm"`
 }
 
@@ -63,14 +50,11 @@ type AssemblyCaseBench struct {
 // two-layer Balaidos analysis, whose rods cross the interface and exercise
 // both layer image ladders — is the headline: its 4-image equal-weight
 // groups are the workload the flat kernel's fused-logarithm path targets.
-// Case B (grid below the interface, single-image groups) bounds the gain on
-// the ladder shape with no fusion opportunity.
+// Case B (grid below the interface, single-image groups) has no fusion
+// opportunity.
 type AssemblyBench struct {
 	// Workers is the parallel width of the *_parallel_ms rows.
 	Workers int `json:"workers"`
-	// CombinedSpeedup echoes the headline case C single-thread combined
-	// speedup (acceptance bar: ≥ 2).
-	CombinedSpeedup float64 `json:"combined_speedup"`
 
 	Cases []AssemblyCaseBench `json:"cases"`
 }
@@ -112,48 +96,27 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 	if err != nil {
 		return AssemblyCaseBench{}, err
 	}
-
-	opt1 := q.bemOptions(1)
-	opt1Flat := opt1
-	opt1Flat.Kernel = bem.FlatKernel
-	optN := q.bemOptions(workers)
-	optNFlat := optN
-	optNFlat.Kernel = bem.FlatKernel
-
 	out := AssemblyCaseBench{Soil: c.Name, Elements: len(mesh.Elements)}
 
-	// Single-thread assembly, both kernels. The matrices are kept: the
-	// reference one feeds the factorization timings, the flat one the
-	// accuracy check.
-	refWall, refR, err := timeAssembly(mesh, c, opt1, q.Repeats)
+	// The single-thread matrix is kept: it feeds the factorization timings
+	// and the accuracy checks.
+	wall, r, err := timeAssembly(mesh, c, q.bemOptions(1), q.Repeats)
 	if err != nil {
 		return out, err
 	}
-	flatWall, flatR, err := timeAssembly(mesh, c, opt1Flat, q.Repeats)
+	parWall, _, err := timeAssembly(mesh, c, q.bemOptions(workers), q.Repeats)
 	if err != nil {
 		return out, err
 	}
-	out.DoF = refR.Order()
-	out.AssemblyRefMs = ms(refWall)
-	out.AssemblyFlatMs = ms(flatWall)
+	out.DoF = r.Order()
+	out.AssemblyMs = ms(wall)
+	out.AssemblyParMs = ms(parWall)
 
-	// Parallel assembly, both kernels.
-	refParWall, _, err := timeAssembly(mesh, c, optN, q.Repeats)
-	if err != nil {
-		return out, err
-	}
-	flatParWall, _, err := timeAssembly(mesh, c, optNFlat, q.Repeats)
-	if err != nil {
-		return out, err
-	}
-	out.AssemblyRefParMs = ms(refParWall)
-	out.AssemblyFlatParMs = ms(flatParWall)
-
-	// Single-thread factorizations of the reference matrix. NewCholesky*
-	// copy the input into the factor, so repeated timing is sound.
+	// Single-thread factorizations. NewCholesky* copy the input into the
+	// factor, so repeated timing is sound.
 	factorRef, err := minDuration(q.Repeats, func() (time.Duration, error) {
 		t0 := time.Now()
-		_, err := linalg.NewCholesky(refR)
+		_, err := linalg.NewCholesky(r)
 		return time.Since(t0), err
 	})
 	if err != nil {
@@ -161,7 +124,7 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 	}
 	factorBlk, err := minDuration(q.Repeats, func() (time.Duration, error) {
 		t0 := time.Now()
-		_, err := linalg.NewCholeskyBlocked(refR, linalg.FactorOpts{Workers: 1})
+		_, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1})
 		return time.Since(t0), err
 	})
 	if err != nil {
@@ -169,7 +132,7 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 	}
 	factorMix, err := minDuration(q.Repeats, func() (time.Duration, error) {
 		t0 := time.Now()
-		_, err := linalg.NewCholeskyBlocked(refR, linalg.FactorOpts{Workers: 1, Mixed: true})
+		_, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1, Mixed: true})
 		return time.Since(t0), err
 	})
 	if err != nil {
@@ -179,17 +142,13 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 	out.FactorBlockedMs = ms(factorBlk)
 	out.FactorMixedMs = ms(factorMix)
 
-	out.CombinedRefMs = out.AssemblyRefMs + out.FactorRefMs
-	out.CombinedFastMs = out.AssemblyFlatMs + out.FactorBlockedMs
-	out.CombinedSpeedup = out.CombinedRefMs / out.CombinedFastMs
-
-	// Accuracy contracts against the reference path.
-	reqRef, sigRef, err := reqOf(mesh, refR, linalg.NewCholesky)
+	// Accuracy contracts against the reference factorization.
+	reqRef, sigRef, err := reqOf(mesh, r, linalg.NewCholesky)
 	if err != nil {
 		return out, err
 	}
-	out.ReqReference = reqRef
-	reqBlk, sigBlk, err := reqOf(mesh, refR, func(r *linalg.SymMatrix) (*linalg.Cholesky, error) {
+	out.Req = reqRef
+	reqBlk, sigBlk, err := reqOf(mesh, r, func(r *linalg.SymMatrix) (*linalg.Cholesky, error) {
 		return linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1})
 	})
 	if err != nil {
@@ -203,12 +162,7 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 			out.BlockedBitIdentical = false
 		}
 	}
-	reqFlat, _, err := reqOf(mesh, flatR, linalg.NewCholesky)
-	if err != nil {
-		return out, err
-	}
-	out.MaxAbsDiffReqFlat = abs(reqFlat - reqRef)
-	reqMix, _, err := reqOf(mesh, refR, func(r *linalg.SymMatrix) (*linalg.Cholesky, error) {
+	reqMix, _, err := reqOf(mesh, r, func(r *linalg.SymMatrix) (*linalg.Cholesky, error) {
 		return linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1, Mixed: true})
 	})
 	if err != nil {
@@ -218,8 +172,8 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 	return out, nil
 }
 
-// RunAssemblyBench measures the kernel and factorization variants on the
-// Balaidos workload, soil cases C (headline) then B. workers ≤ 0 selects
+// RunAssemblyBench measures matrix generation and the factorization variants
+// on the Balaidos workload, soil cases C (headline) then B. workers ≤ 0 selects
 // GOMAXPROCS for the parallel assembly rows (the single-thread rows always
 // run at one worker).
 func RunAssemblyBench(q Quality, workers int) (AssemblyBench, error) {
@@ -236,7 +190,6 @@ func RunAssemblyBench(q Quality, workers int) (AssemblyBench, error) {
 		}
 		out.Cases = append(out.Cases, cb)
 	}
-	out.CombinedSpeedup = out.Cases[0].CombinedSpeedup
 	return out, nil
 }
 
@@ -253,21 +206,16 @@ func AssemblyKernels(out io.Writer, q Quality, workers int, jsonPath string) (er
 	if err != nil {
 		return err
 	}
-	header(w, "Assembly/solve hot path — Balaidos, reference vs flat kernel + blocked Cholesky")
+	header(w, "Assembly/solve hot path — Balaidos, flat kernel + reference/blocked/mixed Cholesky")
 	for _, cb := range ab.Cases {
 		fmt.Fprintf(w, "soil %s: %d elements, %d DoF\n", cb.Soil, cb.Elements, cb.DoF)
-		fmt.Fprintf(w, "  assembly   1 thread: reference %9.1f ms   flat %9.1f ms  (%.2f×)\n",
-			cb.AssemblyRefMs, cb.AssemblyFlatMs, cb.AssemblyRefMs/cb.AssemblyFlatMs)
-		fmt.Fprintf(w, "  assembly %2d threads: reference %9.1f ms   flat %9.1f ms  (%.2f×)\n",
-			ab.Workers, cb.AssemblyRefParMs, cb.AssemblyFlatParMs, cb.AssemblyRefParMs/cb.AssemblyFlatParMs)
+		fmt.Fprintf(w, "  assembly: 1 thread %9.1f ms   %2d threads %9.1f ms  (%.2f×)\n",
+			cb.AssemblyMs, ab.Workers, cb.AssemblyParMs, cb.AssemblyMs/cb.AssemblyParMs)
 		fmt.Fprintf(w, "  factor     1 thread: reference %9.2f ms   blocked %6.2f ms   mixed %6.2f ms\n",
 			cb.FactorRefMs, cb.FactorBlockedMs, cb.FactorMixedMs)
-		fmt.Fprintf(w, "  combined   1 thread: reference %9.1f ms   fast %9.1f ms  speed-up %.2f×\n",
-			cb.CombinedRefMs, cb.CombinedFastMs, cb.CombinedSpeedup)
-		fmt.Fprintf(w, "  Req %.6f Ω; blocked bit-identical %v; |ΔReq| flat %.3g Ω, mixed %.3g Ω\n",
-			cb.ReqReference, cb.BlockedBitIdentical, cb.MaxAbsDiffReqFlat, cb.MaxAbsDiffReqMixed)
+		fmt.Fprintf(w, "  Req %.6f Ω; blocked bit-identical %v; |ΔReq| mixed %.3g Ω\n",
+			cb.Req, cb.BlockedBitIdentical, cb.MaxAbsDiffReqMixed)
 	}
-	fmt.Fprintf(w, "headline combined speed-up (soil C, 1 thread): %.2f× (bar ≥ 2)\n", ab.CombinedSpeedup)
 	if jsonPath == "" {
 		return nil
 	}

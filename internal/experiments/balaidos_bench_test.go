@@ -8,20 +8,16 @@ import (
 	"earthing/internal/grid"
 )
 
-func benchBalaidosAssembly(b *testing.B, kernel bem.KernelStrategy) {
-	benchBalaidosAssemblyCase(b, kernel, 1)
-}
-
-func benchBalaidosAssemblyCase(b *testing.B, kernel bem.KernelStrategy, soilCase int) {
+// benchBalaidosAssembly times single-thread matrix generation of the
+// Balaidos grid under one §5.2 soil case.
+func benchBalaidosAssembly(b *testing.B, soilCase int) {
 	b.Helper()
 	c := BalaidosModels()[soilCase]
 	mesh, _, err := core.BuildMesh(grid.Balaidos(), c.Model, core.Config{RodElements: c.RodElements})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := Default().bemOptions(1)
-	opt.Kernel = kernel
-	asm, err := bem.New(mesh, c.Model, opt)
+	asm, err := bem.New(mesh, c.Model, Default().bemOptions(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,12 +29,5 @@ func benchBalaidosAssemblyCase(b *testing.B, kernel bem.KernelStrategy, soilCase
 	}
 }
 
-func BenchmarkBalaidosAssemblyReference(b *testing.B) { benchBalaidosAssembly(b, bem.ReferenceKernel) }
-func BenchmarkBalaidosAssemblyFlat(b *testing.B)      { benchBalaidosAssembly(b, bem.FlatKernel) }
-
-func BenchmarkBalaidosAssemblyReferenceC(b *testing.B) {
-	benchBalaidosAssemblyCase(b, bem.ReferenceKernel, 2)
-}
-func BenchmarkBalaidosAssemblyFlatC(b *testing.B) {
-	benchBalaidosAssemblyCase(b, bem.FlatKernel, 2)
-}
+func BenchmarkBalaidosAssemblyB(b *testing.B) { benchBalaidosAssembly(b, 1) }
+func BenchmarkBalaidosAssemblyC(b *testing.B) { benchBalaidosAssembly(b, 2) }

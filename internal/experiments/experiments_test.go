@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"earthing/internal/grid"
 )
@@ -129,19 +130,27 @@ func TestFig61OuterBeatsInner(t *testing.T) {
 	}
 }
 
+// TestTable63ModelOrdering checks the paper's matrix-time ordering of the
+// soil models. One wall-clock sample per model is at the mercy of host
+// noise once the B/C ratio is near 0.75, so each model is timed in three
+// interleaved rounds (A B C A B C A B C) and the minima are compared.
 func TestTable63ModelOrdering(t *testing.T) {
-	rows, err := RunTable63(quick, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := map[string]float64{}
-	for _, r := range rows {
-		times[r.Model] = float64(r.Cells[0].Wall)
+	times := map[string]time.Duration{}
+	for round := 0; round < 3; round++ {
+		rows, err := RunTable63(quick, []int{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if d, ok := times[r.Model]; !ok || r.Cells[0].Wall < d {
+				times[r.Model] = r.Cells[0].Wall
+			}
+		}
 	}
 	// Table 6.3: A (uniform, 2-term kernels) ≪ B < C (cross-layer kernels
 	// with slower convergence).
 	if !(times["A"] < times["B"] && times["B"] < times["C"]) {
-		t.Errorf("matrix time ordering violated: A=%v B=%v C=%v",
+		t.Errorf("matrix time ordering violated (minima of 3): A=%v B=%v C=%v",
 			times["A"], times["B"], times["C"])
 	}
 }

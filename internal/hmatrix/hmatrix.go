@@ -30,7 +30,7 @@ type Params struct {
 	Workers int
 	// ExactGeometry disables the geometric pair cache, forcing every
 	// elemental integral through the assembler's exact pair kernel. By
-	// default (false), flat-kernel builds with Eps ≥ 1e-7 evaluate pairs on
+	// default (false), builds with Eps ≥ 1e-7 evaluate pairs on
 	// canonicalized geometry (bem.PairMatrixQuant) and share one elemental
 	// matrix across congruent pairs — a large constant-factor win on lattice
 	// grids, at a ≲ 1e-9 relative entry perturbation that the enabling

@@ -229,6 +229,20 @@ func TestMixedPrecisionRefusesGarbage(t *testing.T) {
 	}
 }
 
+// TestMixedPrecisionStallAboveFloor pins that the round-off floor does not
+// hide a real stall: at cond ≈ 1e6 the float32 factor stops contracting
+// with the correction far above n·ε·‖x‖, and Solve still refuses.
+func TestMixedPrecisionStallAboveFloor(t *testing.T) {
+	n := 120
+	mixed, err := NewCholeskyBlocked(nearSingular(n, 1e-6), FactorOpts{BlockSize: 32, Mixed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mixed.Solve(rhs(n)); !errors.Is(err, ErrRefinementStalled) {
+		t.Fatalf("expected ErrRefinementStalled on a cond≈1e6 system, got %v", err)
+	}
+}
+
 // TestConditionEstimateCached pins the handle-level cache: the estimate
 // matches the free-function estimator and repeated calls return the first
 // result without re-running the iteration.

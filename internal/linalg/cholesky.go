@@ -132,10 +132,16 @@ const refineTol = 1e-14
 // iteration is not contracting at all.
 const refineMaxIter = 40
 
+// epsilon is the float64 unit round-off 2⁻⁵².
+const epsilon = 0x1p-52
+
 // refine runs float64 iterative refinement x ← x + A⁻¹(b − A·x) in place,
 // using the (mixed-precision) factor as the approximate inverse. Returns
-// ErrRefinementStalled when the correction will not drop below refineTol —
-// the caller must fall back to a full-precision factorization.
+// ErrRefinementStalled when the correction stops contracting above the
+// float64 residual floor n·ε·‖x‖ without dropping below refineTol — the
+// caller must fall back to a full-precision factorization. A correction
+// that stops contracting at that floor has converged: the float64 residual
+// itself carries n·ε relative round-off, so no further step can shrink it.
 func (c *Cholesky) refine(x, b []float64) error {
 	n := c.n
 	r := make([]float64, n)
@@ -155,9 +161,13 @@ func (c *Cholesky) refine(x, b []float64) error {
 		if normD <= refineTol*normX || normD == 0 {
 			return nil
 		}
-		// Not contracting by at least 2× per step means the float32 factor
-		// is no contraction for this system; more steps will oscillate.
+		// Not contracting by at least 2× per step means either round-off
+		// noise at the floor (converged) or a float32 factor that is no
+		// contraction for this system; more steps will oscillate.
 		if normD > 0.5*prev {
+			if normD <= float64(n)*epsilon*normX {
+				return nil
+			}
 			return fmt.Errorf("%w: correction %.3g after %d iterations", ErrRefinementStalled, normD, it+1)
 		}
 		prev = normD

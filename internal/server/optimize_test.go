@@ -184,10 +184,16 @@ func TestOptimizeBadRequests(t *testing.T) {
 // TestOptimizeDeadline504: a deadline far shorter than the search surfaces
 // the typed deadline_exceeded error — pre-stream as a 504 envelope when the
 // budget dies before the first generation, or as the terminal NDJSON error
-// line when an early generation already committed the 200.
+// line when an early generation already committed the 200. The search is
+// widened (≈ 45 ms on a 2-vCPU host) so that it reliably outlasts the 1 ms
+// budget; fastOptimize alone takes about 2 ms and sometimes finished first.
 func TestOptimizeDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
-	body := strings.Replace(fastOptimize(""), `"width"`, `"timeoutMs": 1, "width"`, 1)
+	body := strings.NewReplacer(
+		`"width": 10, "height": 10`, `"timeoutMs": 1, "width": 40, "height": 40`,
+		`"seriesTol": 1e-2`, `"seriesTol": 1e-6`,
+		`"maxLines": 4`, `"maxLines": 8`,
+	).Replace(fastOptimize(""))
 	code, _, resp := post(t, context.Background(), ts.URL, "/v1/optimize", body)
 	switch code {
 	case http.StatusGatewayTimeout:

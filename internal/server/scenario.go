@@ -318,12 +318,18 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 	}, nil
 }
 
+// scenarioKeyKernel names the matrix-generation arithmetic in every scenario
+// key. Results of another kernel differ in the last digits, so changing the
+// kernel changes this tag: store records and peer frames written under the
+// old tag then miss instead of being served as current results.
+const scenarioKeyKernel = "flat"
+
 // scenarioKey hashes the result-affecting inputs into a deterministic key.
 // The grid is canonicalized through its text serialization (so a rect spec
 // and the equivalent hand-written conductor list key identically), the soil
 // through full-precision parameter rendering, and the discretization knobs
-// are appended verbatim. Workers, schedules and GPR are excluded: they do
-// not change the solution.
+// and the kernel tag are appended verbatim. Workers, schedules and GPR are
+// excluded: they do not change the solution.
 func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64) string {
 	h := sha256.New()
 	if err := grid.Write(h, g); err != nil {
@@ -331,7 +337,7 @@ func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElement
 		panic(err)
 	}
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear\n",
-		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol)
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=%s\n",
+		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol, scenarioKeyKernel)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -33,6 +33,19 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
+// TestKeyPinned pins the key of one scenario. Keys address the durable store
+// and the peer tier, so a change to the key derivation (for instance a new
+// kernel tag) must show up here as a deliberate edit. The same scenario
+// keyed 51f1c5d68b11b805087e8136779a1786 before the kernel tag existed,
+// when the reference kernel was the default; records under that key must
+// never be served again.
+func TestKeyPinned(t *testing.T) {
+	const want = "b3da8dd03a9fce1f08fc4e353cd97be0"
+	if got := mustBuild(t, baseScenario()).key; got != want {
+		t.Fatalf("key of the base scenario = %s, want %s", got, want)
+	}
+}
+
 // TestKeyIgnoresExecutionKnobs: GPR, workers and schedule change neither the
 // solution nor the key — they must all land on the same cache entry.
 func TestKeyIgnoresExecutionKnobs(t *testing.T) {

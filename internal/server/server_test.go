@@ -30,7 +30,7 @@ func fastScenario(width float64, gpr float64) string {
 // two-layer soil, whose kernel series dominate matrix generation.
 func slowScenario(width float64) string {
 	return fmt.Sprintf(`{
-		"grid": {"rect": {"width": %g, "height": 60, "nx": 12, "ny": 12, "depth": 0.8, "radius": 0.006}},
+		"grid": {"rect": {"width": %g, "height": 60, "nx": 18, "ny": 18, "depth": 0.8, "radius": 0.006}},
 		"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0},
 		"seriesTol": 1e-5
 	}`, width)

@@ -231,7 +231,7 @@ func TestSweepQueueFull429(t *testing.T) {
 func TestSweepDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	body := `{
-		"grid": {"rect": {"width": 110, "height": 60, "nx": 12, "ny": 12, "depth": 0.8, "radius": 0.006}},
+		"grid": {"rect": {"width": 110, "height": 60, "nx": 18, "ny": 18, "depth": 0.8, "radius": 0.006}},
 		"seriesTol": 1e-5,
 		"timeoutMs": 50,
 		"scenarios": [{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0}}]
@@ -259,7 +259,7 @@ func TestSweepClientCancel(t *testing.T) {
 		cancel()
 	}()
 	body := `{
-		"grid": {"rect": {"width": 115, "height": 60, "nx": 12, "ny": 12, "depth": 0.8, "radius": 0.006}},
+		"grid": {"rect": {"width": 115, "height": 60, "nx": 18, "ny": 18, "depth": 0.8, "radius": 0.006}},
 		"seriesTol": 1e-5,
 		"scenarios": [
 			{"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0}},
