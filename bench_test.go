@@ -330,7 +330,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	nu := bem.RHS(m)
 	b.Run("cholesky", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ch, err := linalg.NewCholesky(r)
+			ch, err := linalg.NewCholesky(r, linalg.FactorOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}

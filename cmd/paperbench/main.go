@@ -21,8 +21,8 @@
 // the multi-scenario batch engine (3 Balaidos soils × 3 GPR values) against
 // a sequential Analyze loop; with -json it records BENCH_sweep.json. The
 // assembly experiment benchmarks flat-kernel matrix generation and the
-// reference, blocked and mixed Cholesky factorizations on Balaidos soils C
-// and B; with -json it records BENCH_assembly.json. The hmatrix experiment sweeps the compressed solver
+// full- and mixed-precision Cholesky factorizations on Balaidos soils C and
+// B; with -json it records BENCH_assembly.json. The hmatrix experiment sweeps the compressed solver
 // over a 1k–20k DoF ladder of interconnected grids against the extrapolated
 // dense cost; with -json it records BENCH_hmatrix.json. The optimize
 // experiment benchmarks the grid-synthesis design loop on a Balaidos-class

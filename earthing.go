@@ -168,11 +168,9 @@ type (
 // Solver kinds.
 const (
 	PCG = core.PCG
-	// Cholesky is the reference direct solver (unblocked column sweep).
+	// Cholesky is the direct solver: a tiled packed factorization whose
+	// results are bit-identical at any worker count.
 	Cholesky = core.Cholesky
-	// CholeskyBlocked is the tiled packed factorization — bit-identical
-	// results to Cholesky, faster on large systems.
-	CholeskyBlocked = core.CholeskyBlocked
 	// CholeskyMixed adds float32 trailing updates with float64 iterative
 	// refinement; accuracy is validated per solve and the engine refactors in
 	// full precision rather than degrade silently.

@@ -191,22 +191,6 @@ func ExampleFitTwoLayerSoil() {
 	// h ≈ 2.0: true
 }
 
-// ExampleDesignSearch sizes a lattice automatically against a resistance
-// target.
-func ExampleDesignSearch() {
-	space := earthing.DesignSpace{Width: 40, Height: 40, MinLines: 3, MaxLines: 9}
-	best, trace, err := earthing.DesignSearch(space, earthing.UniformSoil(0.02),
-		earthing.DesignTargets{MaxReq: 0.62}, earthing.Config{})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("winner meets target: %v\n", best.Result.Req <= 0.62)
-	fmt.Printf("cheaper candidates all failed: %v\n", !trace[0].Passes)
-	// Output:
-	// winner meets target: true
-	// cheaper candidates all failed: true
-}
-
 // ExamplePotentialProfile samples the surface potential along a walking
 // line — the quantity behind step-voltage checks.
 func ExamplePotentialProfile() {

@@ -115,7 +115,7 @@ func TestMatrixSPDAndSolvable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Positive definite: Cholesky must succeed.
-	ch, err := linalg.NewCholesky(r)
+	ch, err := linalg.NewCholesky(r, linalg.FactorOpts{})
 	if err != nil {
 		t.Fatalf("Galerkin matrix not SPD: %v", err)
 	}

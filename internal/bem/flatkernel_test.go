@@ -114,7 +114,7 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 
 func solveStoreReq(t *testing.T, m *grid.Mesh, r *linalg.SymMatrix) float64 {
 	t.Helper()
-	ch, err := linalg.NewCholesky(r)
+	ch, err := linalg.NewCholesky(r, linalg.FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

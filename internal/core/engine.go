@@ -30,14 +30,11 @@ const (
 	// PCG is the diagonal preconditioned conjugate gradient solver the
 	// paper recommends for large systems (§4.3). Default.
 	PCG SolverKind = iota
-	// Cholesky is the direct O(N³/3) solver, preferable only for small
-	// systems or as a reference.
+	// Cholesky is the direct O(N³/3) solve: a tiled right-looking
+	// factorization over cache-sized panels of the packed triangle. Its
+	// results are bit-identical at any worker count.
 	Cholesky
-	// CholeskyBlocked is the tiled right-looking factorization over
-	// cache-sized panels of the packed triangle — bit-identical results to
-	// Cholesky, substantially faster on large systems.
-	CholeskyBlocked
-	// CholeskyMixed is CholeskyBlocked with float32 trailing updates and
+	// CholeskyMixed is Cholesky with float32 trailing updates and
 	// float64 iterative refinement of every solve. Results agree with the
 	// full-precision solvers to float64 working accuracy; if refinement
 	// cannot repair the float32 factor (hopelessly conditioned system) the
@@ -60,8 +57,6 @@ func (s SolverKind) String() string {
 		return "pcg"
 	case Cholesky:
 		return "cholesky"
-	case CholeskyBlocked:
-		return "cholesky-blocked"
 	case CholeskyMixed:
 		return "cholesky-mixed"
 	case SolverHMatrix:
@@ -342,20 +337,9 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 		}
 		res.CG = cg
 		res.Sigma = cg.X
-	case Cholesky:
-		ch, err := linalg.NewCholeskyParallel(r, cfg.BEM.Workers)
-		if err != nil {
-			return fmt.Errorf("core: solve: %w", err)
-		}
-		x, err := ch.Solve(nu)
-		if err != nil {
-			return fmt.Errorf("core: solve: %w", err)
-		}
-		chol = ch
-		res.Sigma = x
-	case CholeskyBlocked, CholeskyMixed:
+	case Cholesky, CholeskyMixed:
 		opt := linalg.FactorOpts{Workers: cfg.BEM.Workers, Mixed: cfg.Solver == CholeskyMixed}
-		ch, err := linalg.NewCholeskyBlocked(r, opt)
+		ch, err := linalg.NewCholesky(r, opt)
 		if err != nil {
 			return fmt.Errorf("core: solve: %w", err)
 		}
@@ -367,7 +351,7 @@ func solveSystem(res *Result, r *linalg.SymMatrix, cfg Config) error {
 			res.Warnings = append(res.Warnings, fmt.Sprintf(
 				"core: solve: %v; refactored in full precision", err))
 			opt.Mixed = false
-			if ch, err = linalg.NewCholeskyBlocked(r, opt); err != nil {
+			if ch, err = linalg.NewCholesky(r, opt); err != nil {
 				return fmt.Errorf("core: solve: full-precision fallback: %w", err)
 			}
 			x, err = ch.Solve(nu)

@@ -79,6 +79,41 @@ func TestSolversAgree(t *testing.T) {
 	}
 }
 
+// TestCholeskyDeterministicAcrossWorkers: the direct solve gives the same
+// bits at any worker count. The 12×12 lattice has 144 DoF, so the
+// factorization runs more than one panel and its parallel stages.
+func TestCholeskyDeterministicAcrossWorkers(t *testing.T) {
+	g := grid.RectMesh(0, 0, 30, 30, 12, 12, 0.8, 0.006)
+	model := soil.NewTwoLayer(0.005, 0.016, 1.0)
+	probe := geom.V(7, 9, 0)
+	var ref *Result
+	for _, w := range []int{1, 2, 4} {
+		res, err := Analyze(g, model, Config{GPR: 10_000, Solver: Cholesky,
+			BEM: bem.Options{Workers: w, SeriesTol: 1e-5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			if len(res.Sigma) < 128 {
+				t.Fatalf("%d DoF; the test needs ≥ 128", len(res.Sigma))
+			}
+			ref = res
+			continue
+		}
+		for i, v := range res.Sigma {
+			if v != ref.Sigma[i] {
+				t.Fatalf("workers=%d: σ[%d] = %v, workers=1 gives %v", w, i, v, ref.Sigma[i])
+			}
+		}
+		if res.Req != ref.Req {
+			t.Errorf("workers=%d: Req %v, workers=1 gives %v", w, res.Req, ref.Req)
+		}
+		if p, pRef := res.PotentialAt(probe), ref.PotentialAt(probe); p != pRef {
+			t.Errorf("workers=%d: V(7,9,0) = %v, workers=1 gives %v", w, p, pRef)
+		}
+	}
+}
+
 func TestAnalyzeSplitsAtInterfaces(t *testing.T) {
 	// A rod crossing the two-layer interface must be handled transparently.
 	g := grid.SingleRod(0, 0, 0.5, 2.0, 0.007)
@@ -196,7 +231,7 @@ func TestMixedSolveBalaidosNoFallback(t *testing.T) {
 			t.Fatalf("mixed solve fell back: %s", w)
 		}
 	}
-	cfg.Solver = CholeskyBlocked
+	cfg.Solver = Cholesky
 	full, err := Analyze(grid.Balaidos(), model, cfg)
 	if err != nil {
 		t.Fatal(err)

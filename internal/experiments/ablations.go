@@ -111,7 +111,7 @@ func AblationSolver(out io.Writer, q Quality) (err error) {
 
 	header(w, "Ablation — linear solver (Barberá two-layer system, N = "+fmt.Sprint(r.Order())+")")
 	start := time.Now()
-	ch, err := linalg.NewCholesky(r)
+	ch, err := linalg.NewCholesky(r, linalg.FactorOpts{})
 	if err != nil {
 		return err
 	}

@@ -16,9 +16,8 @@ import (
 
 // AssemblyCaseBench records the hot-path benchmark for one Balaidos soil
 // case: flat-kernel matrix generation at one and at the configured worker
-// width, and the row-by-row reference Cholesky vs the blocked (and
-// mixed-precision) packed factorization. Times are minima over
-// Quality.Repeats.
+// width, and the full- and mixed-precision packed Cholesky factorizations.
+// Times are minima over Quality.Repeats.
 type AssemblyCaseBench struct {
 	// Soil is the §5.2 case name (A/B/C).
 	Soil string `json:"soil"`
@@ -31,17 +30,13 @@ type AssemblyCaseBench struct {
 	AssemblyParMs float64 `json:"assembly_parallel_ms"`
 
 	// Single-thread factorization wall times.
-	FactorRefMs     float64 `json:"factor_reference_ms"`
 	FactorBlockedMs float64 `json:"factor_blocked_ms"`
 	FactorMixedMs   float64 `json:"factor_mixed_ms"`
 
-	// Req is the grid resistance through the reference Cholesky (Ω).
+	// Req is the grid resistance through the full-precision Cholesky (Ω).
 	Req float64 `json:"req_ohm"`
-	// BlockedBitIdentical reports whether the blocked float64 factorization
-	// reproduces the reference solution bit for bit (contract: always true).
-	BlockedBitIdentical bool `json:"blocked_bit_identical"`
 	// MaxAbsDiffReqMixed is |ΔReq| of the mixed-precision path against the
-	// reference factorization (contract: ≤ 1e-10 relative; recorded in Ω).
+	// full-precision factorization (contract: ≤ 1e-10 relative; in Ω).
 	MaxAbsDiffReqMixed float64 `json:"max_abs_diff_req_mixed_ohm"`
 }
 
@@ -60,17 +55,17 @@ type AssemblyBench struct {
 }
 
 // reqOf solves r·σ = ν and reduces to the grid resistance, mirroring the
-// engine's results stage, with the factorization chosen by factor.
-func reqOf(m *grid.Mesh, r *linalg.SymMatrix, factor func(*linalg.SymMatrix) (*linalg.Cholesky, error)) (float64, []float64, error) {
-	ch, err := factor(r)
+// engine's results stage, with the factorization configured by opt.
+func reqOf(m *grid.Mesh, r *linalg.SymMatrix, opt linalg.FactorOpts) (float64, error) {
+	ch, err := linalg.NewCholesky(r, opt)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	sigma, err := ch.Solve(bem.RHS(m))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return 1 / bem.TotalCurrent(m, sigma), sigma, nil
+	return 1 / bem.TotalCurrent(m, sigma), nil
 }
 
 // timeAssembly builds a fresh assembler under opt and times Matrix(),
@@ -112,19 +107,13 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 	out.AssemblyMs = ms(wall)
 	out.AssemblyParMs = ms(parWall)
 
-	// Single-thread factorizations. NewCholesky* copy the input into the
+	// Single-thread factorizations. NewCholesky copies the input into the
 	// factor, so repeated timing is sound.
-	factorRef, err := minDuration(q.Repeats, func() (time.Duration, error) {
-		t0 := time.Now()
-		_, err := linalg.NewCholesky(r)
-		return time.Since(t0), err
-	})
-	if err != nil {
-		return out, err
-	}
+	full := linalg.FactorOpts{Workers: 1}
+	mixed := linalg.FactorOpts{Workers: 1, Mixed: true}
 	factorBlk, err := minDuration(q.Repeats, func() (time.Duration, error) {
 		t0 := time.Now()
-		_, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1})
+		_, err := linalg.NewCholesky(r, full)
 		return time.Since(t0), err
 	})
 	if err != nil {
@@ -132,43 +121,25 @@ func runAssemblyCase(c SoilCase, q Quality, workers int) (AssemblyCaseBench, err
 	}
 	factorMix, err := minDuration(q.Repeats, func() (time.Duration, error) {
 		t0 := time.Now()
-		_, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1, Mixed: true})
+		_, err := linalg.NewCholesky(r, mixed)
 		return time.Since(t0), err
 	})
 	if err != nil {
 		return out, err
 	}
-	out.FactorRefMs = ms(factorRef)
 	out.FactorBlockedMs = ms(factorBlk)
 	out.FactorMixedMs = ms(factorMix)
 
-	// Accuracy contracts against the reference factorization.
-	reqRef, sigRef, err := reqOf(mesh, r, linalg.NewCholesky)
+	// The mixed-precision accuracy contract against the full-precision
+	// factorization.
+	if out.Req, err = reqOf(mesh, r, full); err != nil {
+		return out, err
+	}
+	reqMix, err := reqOf(mesh, r, mixed)
 	if err != nil {
 		return out, err
 	}
-	out.Req = reqRef
-	reqBlk, sigBlk, err := reqOf(mesh, r, func(r *linalg.SymMatrix) (*linalg.Cholesky, error) {
-		return linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1})
-	})
-	if err != nil {
-		return out, err
-	}
-	//lint:ignore floatcmp bit-identity is the measured property: the blocked factor must reproduce the reference Req exactly
-	out.BlockedBitIdentical = reqBlk == reqRef
-	for i := range sigBlk {
-		//lint:ignore floatcmp bit-identity is the measured property: every σ entry must match the reference solve exactly
-		if sigBlk[i] != sigRef[i] {
-			out.BlockedBitIdentical = false
-		}
-	}
-	reqMix, _, err := reqOf(mesh, r, func(r *linalg.SymMatrix) (*linalg.Cholesky, error) {
-		return linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: 1, Mixed: true})
-	})
-	if err != nil {
-		return out, err
-	}
-	out.MaxAbsDiffReqMixed = abs(reqMix - reqRef)
+	out.MaxAbsDiffReqMixed = abs(reqMix - out.Req)
 	return out, nil
 }
 
@@ -206,15 +177,14 @@ func AssemblyKernels(out io.Writer, q Quality, workers int, jsonPath string) (er
 	if err != nil {
 		return err
 	}
-	header(w, "Assembly/solve hot path — Balaidos, flat kernel + reference/blocked/mixed Cholesky")
+	header(w, "Assembly/solve hot path — Balaidos, flat kernel + full/mixed-precision Cholesky")
 	for _, cb := range ab.Cases {
 		fmt.Fprintf(w, "soil %s: %d elements, %d DoF\n", cb.Soil, cb.Elements, cb.DoF)
 		fmt.Fprintf(w, "  assembly: 1 thread %9.1f ms   %2d threads %9.1f ms  (%.2f×)\n",
 			cb.AssemblyMs, ab.Workers, cb.AssemblyParMs, cb.AssemblyMs/cb.AssemblyParMs)
-		fmt.Fprintf(w, "  factor     1 thread: reference %9.2f ms   blocked %6.2f ms   mixed %6.2f ms\n",
-			cb.FactorRefMs, cb.FactorBlockedMs, cb.FactorMixedMs)
-		fmt.Fprintf(w, "  Req %.6f Ω; blocked bit-identical %v; |ΔReq| mixed %.3g Ω\n",
-			cb.Req, cb.BlockedBitIdentical, cb.MaxAbsDiffReqMixed)
+		fmt.Fprintf(w, "  factor     1 thread: full %9.2f ms   mixed %6.2f ms\n",
+			cb.FactorBlockedMs, cb.FactorMixedMs)
+		fmt.Fprintf(w, "  Req %.6f Ω; |ΔReq| mixed %.3g Ω\n", cb.Req, cb.MaxAbsDiffReqMixed)
 	}
 	if jsonPath == "" {
 		return nil

@@ -169,7 +169,7 @@ func runHMatrixRung(target int, seed int64, q Quality, workers, denseCutoff int)
 	}
 	out.DenseAssemblyMs = ms(time.Since(t0))
 	t0 = time.Now()
-	ch, err := linalg.NewCholeskyBlocked(r, linalg.FactorOpts{Workers: workers})
+	ch, err := linalg.NewCholesky(r, linalg.FactorOpts{Workers: workers})
 	if err != nil {
 		return out, err
 	}

@@ -46,8 +46,9 @@ const (
 	// Solve fires on entry of the linear-system-solving stage, with
 	// i = system order and data = the RHS vector.
 	Solve Point = "core.solve"
-	// CholeskyPanel fires once per panel of the blocked factorization
-	// (linalg.NewCholeskyBlocked), before the panel is factored, with
+	// CholeskyPanel fires once per 64-column panel of linalg.NewCholesky —
+	// every dense direct solve, full or mixed precision — before the panel
+	// is factored, with
 	// i = panel index and data = the panel's leading diagonal entry
 	// (poisonable: a NaN there surfaces as ErrNotPositiveDefinite, the
 	// typed per-scenario failure the sweep isolates).

@@ -10,13 +10,12 @@ import (
 )
 
 // Blocked packed Cholesky: a tiled right-looking factorization over
-// cache-sized panels of the packed lower triangle, replacing the per-column
-// sweep of NewCholesky on the solve hot path.
+// cache-sized panels of the packed lower triangle.
 //
-// The factorization proceeds panel by panel (BlockSize columns at a time):
+// The factorization proceeds panel by panel (panelWidth columns at a time):
 //
-//  1. panel factor — the nb×nb diagonal block is factored in place
-//     (reference arithmetic restricted to the panel's columns);
+//  1. panel factor — the nb×nb diagonal block is factored in place (the
+//     textbook column sweep restricted to the panel's columns);
 //  2. triangular solve — every row below the panel solves its nb panel
 //     entries against the factored diagonal block, one independent row at a
 //     time (parallelized over row tiles via sched.ForTiles);
@@ -24,12 +23,13 @@ import (
 //     product, again over independent row tiles.
 //
 // Every stage subtracts products term by term in ascending column order —
-// exactly the operation sequence of the reference column sweep — so the
-// float64 blocked factor, its Solve, Det and LogDet are bit-identical to
-// NewCholesky's. What changes is the memory access pattern: all inner loops
-// walk contiguous row segments of the packed triangle (no per-element index
-// arithmetic), and the O(n³) trailing update touches each panel row while it
-// is cache-hot instead of streaming the whole triangle once per column.
+// exactly the operation sequence of the textbook column sweep (kept as the
+// test oracle referenceCholesky) — so the float64 factor, its Solve, Det and
+// LogDet are bit-identical to it at any worker count. What the tiling
+// changes is the memory access pattern: all inner loops walk contiguous row
+// segments of the packed triangle (no per-element index arithmetic), and the
+// O(n³) trailing update touches each panel row while it is cache-hot
+// instead of streaming the whole triangle once per column.
 //
 // Mixed precision (FactorOpts.Mixed) converts the panel to float32 for the
 // trailing SYRK — the dominant O(n³) stage — halving its memory traffic.
@@ -46,12 +46,14 @@ import (
 // precision never degrades accuracy silently.
 var ErrRefinementStalled = errors.New("linalg: mixed-precision refinement stalled")
 
-// FactorOpts configures NewCholeskyBlocked.
+// panelWidth is the panel width in columns. A panel row of 64 float64 is
+// one 512-byte streak — two cache lines under prefetch — and the 64×64
+// diagonal block stays L1-resident.
+const panelWidth = 64
+
+// FactorOpts configures NewCholesky. The zero value is the sequential
+// full-precision factorization.
 type FactorOpts struct {
-	// BlockSize is the panel width in columns (default 64). A panel row of
-	// 64 float64 is one 512-byte streak — two cache lines under prefetch —
-	// and the 64×64 diagonal block stays L1-resident.
-	BlockSize int
 	// Workers is the parallel width for the triangular-solve and SYRK
 	// stages; ≤ 1 runs sequentially in the caller. The per-element
 	// arithmetic is identical at any width, so results are bit-identical
@@ -65,23 +67,17 @@ type FactorOpts struct {
 	Mixed bool
 }
 
-func (o FactorOpts) withDefaults() FactorOpts {
-	if o.BlockSize <= 0 {
-		o.BlockSize = 64
-	}
-	return o
-}
-
 // rowBase returns the packed offset of row i's first column.
 func rowBase(i int) int { return i * (i + 1) / 2 }
 
-// NewCholeskyBlocked factorizes the SPD matrix a with the tiled right-looking
-// algorithm described in the package comment above. The input matrix is not
-// modified. With opt.Mixed == false the returned factor (and everything
-// derived from it: Solve, Det, LogDet) is bit-identical to NewCholesky's;
-// with Mixed the handle additionally retains a for refinement in Solve.
-func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
-	opt = opt.withDefaults()
+// NewCholesky factorizes the symmetric positive definite matrix a with the
+// tiled right-looking algorithm described above; O(n³/3) operations, the
+// direct-solve cost quoted in §4.3 of the paper. The input matrix is not
+// modified. With opt.Mixed == false the factor (and everything derived from
+// it: Solve, Det, LogDet) is bit-identical to the textbook column sweep at
+// any opt.Workers; with Mixed the handle additionally retains a for
+// refinement in Solve.
+func NewCholesky(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 	n := a.n
 	l := make([]float64, len(a.data))
 	copy(l, a.data)
@@ -90,7 +86,7 @@ func NewCholeskyBlocked(a *SymMatrix, opt FactorOpts) (*Cholesky, error) {
 		c.refineA = a
 	}
 
-	nb := opt.BlockSize
+	const nb = panelWidth
 	var f32 []float32 // mixed-precision panel mirror, reused across panels
 	if opt.Mixed && n > nb {
 		f32 = make([]float32, n*nb)

@@ -74,17 +74,17 @@ func rhs(n int) []float64 {
 	return b
 }
 
-// equivalenceSizes spans 1…300 including panel-boundary cases around the
-// default block size 64 and the small-block sizes the suite re-runs with.
+// equivalenceSizes spans 1…300: single-panel sizes, the boundaries around
+// the 64-column panel width (63–65, 127–129) and multi-panel sizes.
 var equivalenceSizes = []int{1, 2, 3, 5, 8, 13, 21, 34, 63, 64, 65, 100, 127, 128, 129, 200, 300}
 
 // TestBlockedCholeskyBitIdentical pins the float64 blocked factorization to
 // the reference column sweep bit for bit: factor, solve, Det and LogDet, at
-// several block sizes and worker widths, across sizes 1…300.
+// worker widths 1, 4 and 8, across sizes 1…300.
 func TestBlockedCholeskyBitIdentical(t *testing.T) {
 	for _, n := range equivalenceSizes {
 		a := spdMatrix(n, uint64(n)*0x9e3779b9+1)
-		ref, err := NewCholesky(a)
+		ref, err := referenceCholesky(a)
 		if err != nil {
 			t.Fatalf("n=%d: reference: %v", n, err)
 		}
@@ -93,13 +93,8 @@ func TestBlockedCholeskyBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: reference solve: %v", n, err)
 		}
-		for _, opt := range []FactorOpts{
-			{},
-			{BlockSize: 8},
-			{BlockSize: 48, Workers: 4},
-			{BlockSize: 64, Workers: 8},
-		} {
-			bl, err := NewCholeskyBlocked(a, opt)
+		for _, opt := range []FactorOpts{{Workers: 1}, {Workers: 4}, {Workers: 8}} {
+			bl, err := NewCholesky(a, opt)
 			if err != nil {
 				t.Fatalf("n=%d opt=%+v: blocked: %v", n, opt, err)
 			}
@@ -133,8 +128,8 @@ func TestBlockedCholeskyNearSingular(t *testing.T) {
 	for _, n := range []int{5, 65, 130} {
 		for _, eps := range []float64{1e-8, 1e-12} {
 			a := nearSingular(n, eps)
-			ref, refErr := NewCholesky(a)
-			bl, blErr := NewCholeskyBlocked(a, FactorOpts{BlockSize: 32, Workers: 4})
+			ref, refErr := referenceCholesky(a)
+			bl, blErr := NewCholesky(a, FactorOpts{Workers: 4})
 			if (refErr == nil) != (blErr == nil) {
 				t.Fatalf("n=%d eps=%g: reference err %v, blocked err %v", n, eps, refErr, blErr)
 			}
@@ -149,10 +144,10 @@ func TestBlockedCholeskyNearSingular(t *testing.T) {
 		}
 		// Indefinite: flip the smallest eigenvalue negative.
 		a := nearSingular(n, -1e-3)
-		if _, err := NewCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+		if _, err := referenceCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 			t.Fatalf("n=%d: reference accepted an indefinite matrix: %v", n, err)
 		}
-		if _, err := NewCholeskyBlocked(a, FactorOpts{}); !errors.Is(err, ErrNotPositiveDefinite) {
+		if _, err := NewCholesky(a, FactorOpts{}); !errors.Is(err, ErrNotPositiveDefinite) {
 			t.Fatalf("n=%d: blocked accepted an indefinite matrix: %v", n, err)
 		}
 	}
@@ -166,7 +161,7 @@ func TestMixedPrecisionRefinement(t *testing.T) {
 	for _, n := range []int{150, 300} {
 		a := spdMatrix(n, 7)
 		b := rhs(n)
-		ref, err := NewCholesky(a)
+		ref, err := NewCholesky(a, FactorOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +169,7 @@ func TestMixedPrecisionRefinement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixed, err := NewCholeskyBlocked(a, FactorOpts{BlockSize: 48, Workers: 2, Mixed: true})
+		mixed, err := NewCholesky(a, FactorOpts{Workers: 2, Mixed: true})
 		if err != nil {
 			t.Fatalf("n=%d: mixed factor: %v", n, err)
 		}
@@ -215,7 +210,7 @@ func TestMixedPrecisionRefinement(t *testing.T) {
 func TestMixedPrecisionRefusesGarbage(t *testing.T) {
 	n := 120
 	a := nearSingular(n, 1e-13)
-	mixed, err := NewCholeskyBlocked(a, FactorOpts{BlockSize: 32, Mixed: true})
+	mixed, err := NewCholesky(a, FactorOpts{Mixed: true})
 	if err != nil {
 		// The float32 downdates may already break positive definiteness at
 		// this conditioning; that is an acceptable loud failure too.
@@ -234,7 +229,7 @@ func TestMixedPrecisionRefusesGarbage(t *testing.T) {
 // with the correction far above n·ε·‖x‖, and Solve still refuses.
 func TestMixedPrecisionStallAboveFloor(t *testing.T) {
 	n := 120
-	mixed, err := NewCholeskyBlocked(nearSingular(n, 1e-6), FactorOpts{BlockSize: 32, Mixed: true})
+	mixed, err := NewCholesky(nearSingular(n, 1e-6), FactorOpts{Mixed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +247,7 @@ func TestConditionEstimateCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewCholeskyBlocked(a, FactorOpts{})
+	ch, err := NewCholesky(a, FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,20 +271,20 @@ func TestConditionEstimateCached(t *testing.T) {
 func TestCholeskyPanelFaultPoint(t *testing.T) {
 	defer faultinject.Set(faultinject.CholeskyPanel, faultinject.Once(faultinject.PoisonNaN()))()
 	a := spdMatrix(100, 11)
-	if _, err := NewCholeskyBlocked(a, FactorOpts{BlockSize: 32}); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := NewCholesky(a, FactorOpts{}); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("poisoned panel did not fail the factorization: %v", err)
 	}
 }
 
 func benchmarkMatrix(n int) *SymMatrix { return spdMatrix(n, 42) }
 
-// BenchmarkCholeskyReference / BenchmarkCholeskyBlocked are the CI bench
-// smoke pair for the factorization rewrite (single-thread).
+// BenchmarkCholeskyReference / BenchmarkCholeskyBlocked time the test
+// oracle against NewCholesky (single-thread).
 func BenchmarkCholeskyReference(b *testing.B) {
 	a := benchmarkMatrix(300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewCholesky(a); err != nil {
+		if _, err := referenceCholesky(a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +294,7 @@ func BenchmarkCholeskyBlocked(b *testing.B) {
 	a := benchmarkMatrix(300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewCholeskyBlocked(a, FactorOpts{}); err != nil {
+		if _, err := NewCholesky(a, FactorOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,7 +304,7 @@ func BenchmarkCholeskyBlockedMixed(b *testing.B) {
 	a := benchmarkMatrix(300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewCholeskyBlocked(a, FactorOpts{Mixed: true}); err != nil {
+		if _, err := NewCholesky(a, FactorOpts{Mixed: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,9 +13,8 @@ import (
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Cholesky holds the lower-triangular factor L with A = L·Lᵀ in packed
-// storage. Obtain one from NewCholesky (reference column sweep),
-// NewCholeskyParallel (column sweep, parallel row updates) or
-// NewCholeskyBlocked (tiled panels, optionally mixed precision).
+// storage. Obtain one from NewCholesky (blocked.go): tiled panels, in full
+// or mixed precision.
 type Cholesky struct {
 	n int
 	l []float64 // packed lower triangle of L
@@ -33,40 +32,6 @@ type Cholesky struct {
 	condOnce sync.Once
 	condVal  float64
 	condErr  error
-}
-
-// NewCholesky factorizes the symmetric positive definite matrix a. The input
-// matrix is not modified. O(n³/3) operations, matching the direct-solve cost
-// quoted in §4.3 of the paper. This is the reference factorization the
-// blocked variant is pinned against; its per-column sweep walks each packed
-// row segment linearly.
-func NewCholesky(a *SymMatrix) (*Cholesky, error) {
-	n := a.n
-	l := make([]float64, len(a.data))
-	copy(l, a.data)
-	for j := 0; j < n; j++ {
-		jb := rowBase(j)
-		d := l[jb+j]
-		rowJ := l[jb : jb+j]
-		for _, v := range rowJ {
-			d -= v * v
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotPositiveDefinite, j, d)
-		}
-		dj := math.Sqrt(d)
-		l[jb+j] = dj
-		for i := j + 1; i < n; i++ {
-			ib := rowBase(i)
-			s := l[ib+j]
-			rowI := l[ib : ib+j]
-			for k, v := range rowJ {
-				s -= rowI[k] * v
-			}
-			l[ib+j] = s / dj
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
 }
 
 // Solve returns x with A·x = b. On a mixed-precision handle the triangular
@@ -91,8 +56,8 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 
 // solveInto solves A·x = b into x (len n, may not alias b) by forward and
 // back substitution. Both sweeps subtract products term by term in the same
-// ascending order as the textbook loops, so the result is bit-identical
-// regardless of which factorization built L; the forward sweep walks packed
+// ascending order as the textbook loops, so a given L always yields the
+// textbook substitution's bits; the forward sweep walks packed
 // rows linearly and the back sweep replaces the per-element index product
 // with an incremental offset (off += j+1), keeping the reference operation
 // order over column i (a bit-identity the panel-reordered form would lose).

@@ -11,7 +11,7 @@ func EstimateExtremeEigenvalues(a *SymMatrix, iters int) (min, max float64, err 
 	if a.Order() == 0 {
 		return 0, 0, nil
 	}
-	ch, err := NewCholesky(a)
+	ch, err := NewCholesky(a, FactorOpts{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -20,7 +20,7 @@ func EstimateExtremeEigenvalues(a *SymMatrix, iters int) (min, max float64, err 
 
 // extremeEigenvalues is the shared estimator core: power iteration on a for
 // λmax, inverse iteration through the provided factorization for λmin. The
-// factorization may come from any of the Cholesky constructors; the inverse
+// factorization may be full or mixed precision; the inverse
 // iteration normalizes every step, so the O(1e-7) perturbation of a
 // mixed-precision factor does not disturb the leading digits of the
 // estimate (it is a diagnostic, quoted to ~3 digits).

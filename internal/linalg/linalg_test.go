@@ -106,7 +106,7 @@ func TestCholeskySolve(t *testing.T) {
 		xTrue := randVector(n, r)
 		b := make([]float64, n)
 		a.MulVec(xTrue, b)
-		ch, err := NewCholesky(a)
+		ch, err := NewCholesky(a, FactorOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +127,17 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a.Set(0, 0, 1)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 1) // eigenvalues 3, −1
-	if _, err := NewCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := NewCholesky(a, FactorOpts{}); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("err = %v, want ErrNotPositiveDefinite", err)
+	}
+	// A negative pivot three panels in, reached by the parallel stages.
+	a = NewSymMatrix(200)
+	for i := 0; i < 200; i++ {
+		a.Set(i, i, 1)
+	}
+	a.Set(150, 150, -1)
+	if _, err := NewCholesky(a, FactorOpts{Workers: 4}); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Errorf("n=200 workers=4: err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
 
@@ -138,7 +147,7 @@ func TestCholeskyDet(t *testing.T) {
 	a.Set(0, 0, 4)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 3)
-	ch, err := NewCholesky(a)
+	ch, err := NewCholesky(a, FactorOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +165,7 @@ func TestCGMatchesCholesky(t *testing.T) {
 		n := 2 + r.Intn(60)
 		a := randSPD(n, r)
 		b := randVector(n, r)
-		ch, err := NewCholesky(a)
+		ch, err := NewCholesky(a, FactorOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +298,7 @@ func BenchmarkCholesky(b *testing.B) {
 	rhs := randVector(238, rand.New(rand.NewSource(2)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch, err := NewCholesky(a)
+		ch, err := NewCholesky(a, FactorOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

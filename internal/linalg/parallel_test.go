@@ -52,66 +52,6 @@ func TestSolveCGParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestCholeskyParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	for _, n := range []int{64, 128, 200} { // below and above the parallel cutoff
-		a := randSPD(n, r)
-		b := randVector(n, r)
-		serial, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := NewCholeskyParallel(a, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs, err := serial.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xp, err := par.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range xs {
-			if math.Abs(xs[i]-xp[i]) > 1e-9*(1+math.Abs(xs[i])) {
-				t.Fatalf("n=%d: x[%d] %v vs %v", n, i, xp[i], xs[i])
-			}
-		}
-		if math.Abs(serial.LogDet()-par.LogDet()) > 1e-9*(1+math.Abs(serial.LogDet())) {
-			t.Fatalf("n=%d: log det %v vs %v", n, par.LogDet(), serial.LogDet())
-		}
-	}
-}
-
-func TestCholeskyParallelRejectsIndefinite(t *testing.T) {
-	a := NewSymMatrix(200)
-	for i := 0; i < 200; i++ {
-		a.Set(i, i, 1)
-	}
-	a.Set(150, 150, -1)
-	if _, err := NewCholeskyParallel(a, 4); err == nil {
-		t.Error("indefinite matrix accepted")
-	}
-}
-
-func BenchmarkCholeskyParallel(b *testing.B) {
-	a := randSPD(500, rand.New(rand.NewSource(1)))
-	for _, w := range []int{1, 4} {
-		name := "serial"
-		if w > 1 {
-			name = "parallel4"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := NewCholeskyParallel(a, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkMulVecParallel(b *testing.B) {
 	a := randSPD(800, rand.New(rand.NewSource(1)))
 	x := randVector(800, rand.New(rand.NewSource(2)))

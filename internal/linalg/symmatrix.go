@@ -1,8 +1,8 @@
 // Package linalg implements the dense linear algebra required by the
-// Galerkin boundary-element solver: packed symmetric matrices, Cholesky and
-// LDLᵀ direct factorizations, and a conjugate-gradient solver with Jacobi
-// (diagonal) preconditioning — the method the paper identifies as the most
-// efficient for large grounding systems (§4.3).
+// Galerkin boundary-element solver: packed symmetric matrices, one blocked
+// Cholesky factorization (full or mixed precision), and a conjugate-gradient
+// solver with Jacobi (diagonal) preconditioning — the method the paper
+// identifies as the most efficient for large grounding systems (§4.3).
 //
 // Galerkin BEM matrices are symmetric positive definite but fully dense, so
 // the package stores only the lower triangle in packed row-major order,

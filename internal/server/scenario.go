@@ -273,10 +273,10 @@ func (sc Scenario) buildConfig(defaultWorkers int) (earthing.Config, error) {
 		GPR:         1,
 		MaxElemLen:  sc.MaxElemLen,
 		RodElements: sc.RodElements,
-		// Cholesky is deterministic across worker counts (each entry of L is
-		// reduced in a fixed order; only independent row updates run in
-		// parallel), which PCG's worker-partitioned dot products are not —
-		// and the factorization is exactly what the LRU amortizes.
+		// Cholesky is bit-identical across worker counts (each entry of L is
+		// reduced in a fixed order; only independent rows run in parallel),
+		// which PCG's worker-partitioned dot products are not — and the
+		// factorization is exactly what the LRU amortizes.
 		Solver: earthing.Cholesky,
 		BEM: earthing.BEMOptions{
 			Workers:   workers,
@@ -318,18 +318,22 @@ func (sc Scenario) build(defaultWorkers int) (*built, error) {
 	}, nil
 }
 
-// scenarioKeyKernel names the matrix-generation arithmetic in every scenario
-// key. Results of another kernel differ in the last digits, so changing the
-// kernel changes this tag: store records and peer frames written under the
-// old tag then miss instead of being served as current results.
-const scenarioKeyKernel = "flat"
+// scenarioKeyKernel and scenarioKeyChol name the matrix-generation and
+// factorization arithmetic in every scenario key. Results of another kernel
+// or factorization differ in the last digits, so changing either changes
+// its tag: store records and peer frames written under the old tag then
+// miss instead of being served as current results.
+const (
+	scenarioKeyKernel = "flat"
+	scenarioKeyChol   = "blocked"
+)
 
 // scenarioKey hashes the result-affecting inputs into a deterministic key.
 // The grid is canonicalized through its text serialization (so a rect spec
 // and the equivalent hand-written conductor list key identically), the soil
 // through full-precision parameter rendering, and the discretization knobs
-// and the kernel tag are appended verbatim. Workers, schedules and GPR are
-// excluded: they do not change the solution.
+// and the kernel and factorization tags are appended verbatim. Workers,
+// schedules and GPR are excluded: they do not change the solution.
 func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElements int, seriesTol float64) string {
 	h := sha256.New()
 	if err := grid.Write(h, g); err != nil {
@@ -337,7 +341,7 @@ func scenarioKey(g *earthing.Grid, soil SoilSpec, maxElemLen float64, rodElement
 		panic(err)
 	}
 	//lint:ignore errdrop writing to a hash.Hash never fails
-	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=%s\n",
-		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol, scenarioKeyKernel)
+	fmt.Fprintf(h, "\n%s\nelemlen=%.17g;rodelems=%d;seriestol=%.17g;solver=cholesky;kind=linear;kernel=%s;chol=%s\n",
+		soil.canonicalSoil(), maxElemLen, rodElements, seriesTol, scenarioKeyKernel, scenarioKeyChol)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

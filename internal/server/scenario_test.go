@@ -37,10 +37,12 @@ func TestKeyStability(t *testing.T) {
 // and the peer tier, so a change to the key derivation (for instance a new
 // kernel tag) must show up here as a deliberate edit. The same scenario
 // keyed 51f1c5d68b11b805087e8136779a1786 before the kernel tag existed,
-// when the reference kernel was the default; records under that key must
-// never be served again.
+// when the reference kernel was the default, and
+// b3da8dd03a9fce1f08fc4e353cd97be0 before the factorization tag existed,
+// when the column-parallel factor served larger systems; records under
+// those keys must never be served again.
 func TestKeyPinned(t *testing.T) {
-	const want = "b3da8dd03a9fce1f08fc4e353cd97be0"
+	const want = "b9f690c9897f7193c15ba2e52ca54ae4"
 	if got := mustBuild(t, baseScenario()).key; got != want {
 		t.Fatalf("key of the base scenario = %s, want %s", got, want)
 	}

@@ -538,7 +538,8 @@ type SolveResponse struct {
 	GPR float64 `json:"gpr"`
 	// ReqOhms is the equivalent grounding resistance (GPR-independent).
 	ReqOhms float64 `json:"reqOhms"`
-	// CurrentAmps is the total fault current at this GPR.
+	// CurrentAmps is the total fault current at this GPR, bit-identical to
+	// Result.Current of an Analyze run at that GPR.
 	CurrentAmps float64 `json:"currentAmps"`
 	// Elements and DoF describe the discretization that was solved.
 	Elements int      `json:"elements"`
@@ -583,7 +584,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Key:         b.key,
 		GPR:         b.gpr,
 		ReqOhms:     res.Req,
-		CurrentAmps: b.gpr / res.Req,
+		CurrentAmps: b.gpr * res.Current, // res is the unit-GPR solve
 		Elements:    len(res.Mesh.Elements),
 		DoF:         len(res.Sigma),
 		Warnings:    res.Warnings,

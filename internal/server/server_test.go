@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"earthing"
 )
 
 // fastScenario solves in ~10 ms: a coarse lattice in uniform soil with a
@@ -94,8 +97,9 @@ func TestSolveCacheHitMiss(t *testing.T) {
 	if resp.ReqOhms <= 0 || resp.GPR != 10_000 || resp.Elements == 0 {
 		t.Errorf("implausible solve response: %+v", resp)
 	}
-	// Current must respect Ohm's law at the requested GPR.
-	if want := resp.GPR / resp.ReqOhms; resp.CurrentAmps != want {
+	// Current must respect Ohm's law at the requested GPR (to rounding:
+	// TestCurrentMatchesAnalyze pins the exact bits).
+	if want := resp.GPR / resp.ReqOhms; math.Abs(resp.CurrentAmps-want) > 1e-15*want {
 		t.Errorf("CurrentAmps = %g, want GPR/Req = %g", resp.CurrentAmps, want)
 	}
 
@@ -153,7 +157,9 @@ func TestGPRLinearity(t *testing.T) {
 
 // TestDeterminismAcrossWorkers pins the acceptance contract: the same
 // scenario solved fresh at different parallel widths and schedules, or
-// served from cache, yields byte-identical response bodies.
+// served from cache, yields byte-identical /v1/solve and /v1/raster bodies.
+// The 12×12 lattice (144 DoF) takes the factorization's parallel panel
+// stages; the 5×5 one (25 DoF) fits in one panel.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	variants := []string{
 		`"workers": 1`,
@@ -161,41 +167,113 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		`"workers": 4, "schedule": "static"`,
 		`"workers": 3, "schedule": "guided,2"`,
 	}
-	scenario := func(extra string) string {
-		return fmt.Sprintf(`{
-			"grid": {"rect": {"width": 30, "height": 30, "nx": 5, "ny": 5, "depth": 0.8, "radius": 0.006}},
-			"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0},
-			"seriesTol": 1e-4, "gpr": 10000, %s
-		}`, extra)
-	}
+	for _, lines := range []int{5, 12} {
+		scenario := func(extra string) string {
+			return fmt.Sprintf(`{
+				"grid": {"rect": {"width": 30, "height": 30, "nx": %d, "ny": %d, "depth": 0.8, "radius": 0.006}},
+				"soil": {"kind": "two-layer", "gamma1": 0.005, "gamma2": 0.016, "h1": 1.0},
+				"seriesTol": 1e-4, "gpr": 10000, %s
+			}`, lines, lines, extra)
+		}
+		var solves, rasters [][]byte
+		for _, v := range variants {
+			// A fresh server per variant: every solve is a genuine cold
+			// assembly + factorization at that worker count.
+			_, ts := newTestServer(t, Config{MaxConcurrent: 4})
+			code, hdr, b := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
+			if code != http.StatusOK {
+				t.Fatalf("%d×%d %s: status %d: %s", lines, lines, v, code, b)
+			}
+			if hdr.Get("X-Groundd-Cache") != "miss" {
+				t.Fatalf("%d×%d %s: expected a cold solve", lines, lines, v)
+			}
+			solves = append(solves, b)
 
-	var bodies [][]byte
-	for _, v := range variants {
-		// A fresh server per variant: every solve is a genuine cold
-		// assembly + factorization at that worker count.
-		_, ts := newTestServer(t, Config{MaxConcurrent: 4})
-		code, hdr, b := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
+			// And the warm replay on the same server must be byte-identical too.
+			_, hdr, cached := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
+			if hdr.Get("X-Groundd-Cache") != "hit" {
+				t.Fatalf("%d×%d %s: replay did not hit the cache", lines, lines, v)
+			}
+			if !bytes.Equal(b, cached) {
+				t.Errorf("%d×%d %s: cached body differs from fresh", lines, lines, v)
+			}
+			code, _, r := post(t, context.Background(), ts.URL, "/v1/raster", scenario(v+`, "nx": 16, "ny": 16`))
+			if code != http.StatusOK {
+				t.Fatalf("%d×%d %s: raster status %d: %s", lines, lines, v, code, r)
+			}
+			rasters = append(rasters, r)
+		}
+		var resp SolveResponse
+		if err := json.Unmarshal(solves[0], &resp); err != nil {
+			t.Fatal(err)
+		}
+		if lines == 12 && resp.DoF < 128 {
+			t.Fatalf("12×12 lattice has %d DoF; the test needs ≥ 128", resp.DoF)
+		}
+		for i := 1; i < len(variants); i++ {
+			if !bytes.Equal(solves[0], solves[i]) {
+				t.Errorf("%d×%d: variant %q solve differs from %q:\n%s\n%s",
+					lines, lines, variants[i], variants[0], solves[i], solves[0])
+			}
+			if !bytes.Equal(rasters[0], rasters[i]) {
+				t.Errorf("%d×%d: variant %q raster differs from %q", lines, lines, variants[i], variants[0])
+			}
+		}
+	}
+}
+
+// TestCurrentMatchesAnalyze pins currentAmps on /v1/solve and /v1/sweep to
+// Result.Current of an Analyze run at the request GPR, bit for bit: the
+// server scales its cached unit-GPR current, which is the same expression
+// Analyze evaluates, whereas GPR/Req is off by one ulp for some GPRs.
+func TestCurrentMatchesAnalyze(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 2})
+	gprs := []float64{1, 3, 7, 10, 1000, 2345.5, 10_000, 33_333, 65_432.1, 1e5}
+	var scens [][2]float64
+	for _, gpr := range gprs {
+		scens = append(scens, [2]float64{0.0125, gpr})
+	}
+	// The first sweep runs the sweep engine; the repeat serves every line
+	// from the cached unit-GPR solve.
+	var swept [2]map[int]SweepLine
+	for pass := range swept {
+		code, _, body := post(t, context.Background(), ts.URL, "/v1/sweep", fastSweep(20, "", scens...))
 		if code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", v, code, b)
+			t.Fatalf("sweep: status %d: %s", code, body)
 		}
-		if hdr.Get("X-Groundd-Cache") != "miss" {
-			t.Fatalf("%s: expected a cold solve", v)
-		}
-		bodies = append(bodies, b)
-
-		// And the warm replay on the same server must be byte-identical too.
-		_, hdr, cached := post(t, context.Background(), ts.URL, "/v1/solve", scenario(v))
-		if hdr.Get("X-Groundd-Cache") != "hit" {
-			t.Fatalf("%s: replay did not hit the cache", v)
-		}
-		if !bytes.Equal(b, cached) {
-			t.Errorf("%s: cached body differs from fresh", v)
+		swept[pass] = map[int]SweepLine{}
+		for _, l := range decodeSweep(t, body) {
+			swept[pass][l.Index] = l
 		}
 	}
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Errorf("variant %q response differs from %q:\n%s\n%s",
-				variants[i], variants[0], bodies[i], bodies[0])
+	var sc Scenario
+	if err := json.Unmarshal([]byte(fastScenario(20, 1)), &sc); err != nil {
+		t.Fatal(err)
+	}
+	b := mustBuild(t, sc)
+	for i, gpr := range gprs {
+		cfg := b.cfg
+		cfg.GPR = gpr
+		want, err := earthing.Analyze(context.Background(), b.grid, b.model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, _, sb := post(t, context.Background(), ts.URL, "/v1/solve", fastScenario(20, gpr))
+		if code != http.StatusOK {
+			t.Fatalf("solve gpr=%g: status %d: %s", gpr, code, sb)
+		}
+		var sr SolveResponse
+		if err := json.Unmarshal(sb, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.ReqOhms != want.Req || sr.CurrentAmps != want.Current {
+			t.Errorf("solve gpr=%g: Req %v current %v, Analyze Req %v current %v",
+				gpr, sr.ReqOhms, sr.CurrentAmps, want.Req, want.Current)
+		}
+		for pass, lines := range swept {
+			if l, ok := lines[i]; !ok || l.CurrentAmps != want.Current {
+				t.Errorf("sweep %d gpr=%g: current %v, Analyze %v", pass, gpr, l.CurrentAmps, want.Current)
+			}
 		}
 	}
 }

@@ -166,7 +166,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			res, _, ok = s.tierGet(ctx, b)
 		}
 		if ok {
-			if err := sw.emit(s.sweepLine(i, req.Scenarios[i].ID, b, res, "hit", nil)); err != nil {
+			// Cached results are unit-GPR solves: scale the current to this
+			// scenario's GPR exactly as /v1/solve does.
+			if err := sw.emit(s.sweepLine(i, req.Scenarios[i].ID, b, res, b.gpr*res.Current, "hit", nil)); err != nil {
 				return // client gone; nothing to report to
 			}
 			continue
@@ -216,7 +218,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				s.storePut(b, unit)
 			}
 		}
-		return sw.emit(s.sweepLine(i, sr.ID, b, sr.Res, string(sr.Reuse), &sr))
+		return sw.emit(s.sweepLine(i, sr.ID, b, sr.Res, sr.Res.Current, string(sr.Reuse), &sr))
 	}, opts...)
 	if err != nil {
 		herr := s.mapCtxErr(err)
@@ -245,10 +247,11 @@ func (s *Server) countSweepFailure(err error) {
 	}
 }
 
-// sweepLine renders one scenario result. The GPR-dependent current uses the
-// same gpr/Req expression as /v1/solve, so the two endpoints report
+// sweepLine renders one scenario result with current, the total current at
+// the scenario's GPR. Callers compute it as gpr·I₁ from the unit-GPR current
+// I₁, the expression /v1/solve and Analyze use, so all three report
 // byte-identical numbers for the same scenario.
-func (s *Server) sweepLine(index int, id string, b *built, res *earthing.Result, cache string, sr *earthing.SweepResult) SweepLine {
+func (s *Server) sweepLine(index int, id string, b *built, res *earthing.Result, current float64, cache string, sr *earthing.SweepResult) SweepLine {
 	if id == "" {
 		id = fmt.Sprintf("s%d", index)
 	}
@@ -259,7 +262,7 @@ func (s *Server) sweepLine(index int, id string, b *built, res *earthing.Result,
 		Cache:       cache,
 		GPR:         b.gpr,
 		ReqOhms:     res.Req,
-		CurrentAmps: b.gpr / res.Req,
+		CurrentAmps: current,
 		Elements:    len(res.Mesh.Elements),
 		DoF:         len(res.Sigma),
 		Warnings:    res.Warnings,

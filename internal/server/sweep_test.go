@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -105,7 +106,7 @@ func TestSweepOneAssemblyForGPRVariants(t *testing.T) {
 		if l.Key != seen[0].Key || l.ReqOhms != seen[0].ReqOhms {
 			t.Errorf("line %d: key/Req diverge from line 0", i)
 		}
-		if want := l.GPR / l.ReqOhms; l.CurrentAmps != want {
+		if want := l.GPR / l.ReqOhms; math.Abs(l.CurrentAmps-want) > 1e-15*want {
 			t.Errorf("line %d: currentAmps %g, want gpr/Req %g", i, l.CurrentAmps, want)
 		}
 	}
