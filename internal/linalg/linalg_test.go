@@ -130,8 +130,12 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	if _, err := NewCholesky(a, FactorOpts{}); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("err = %v, want ErrNotPositiveDefinite", err)
 	}
-	// A negative pivot three panels in, reached by the parallel stages.
-	a = NewSymMatrix(200)
+}
+
+// TestCholeskyParallelRejectsIndefinite puts a negative pivot three panels
+// in, where the parallel trailing-update stages reach it.
+func TestCholeskyParallelRejectsIndefinite(t *testing.T) {
+	a := NewSymMatrix(200)
 	for i := 0; i < 200; i++ {
 		a.Set(i, i, 1)
 	}
