@@ -167,6 +167,8 @@ func TestHMatrixBenchSmoke(t *testing.T) {
 			DenseMeasured bool    `json:"dense_measured"`
 			ReqHMatrix    float64 `json:"req_hmatrix_ohm"`
 			ReqRelErr     float64 `json:"req_rel_err"`
+			FarPairs      int64   `json:"far_pairs"`
+			KernelPairs   int64   `json:"kernel_pairs"`
 		} `json:"rungs"`
 	}
 	if err := json.Unmarshal(data, &hb); err != nil {
@@ -184,6 +186,9 @@ func TestHMatrixBenchSmoke(t *testing.T) {
 		}
 		if !r.DenseMeasured {
 			t.Errorf("rung n=%d: quick ladder must measure the dense reference", r.DoF)
+		}
+		if r.FarPairs == 0 || r.KernelPairs == 0 {
+			t.Errorf("rung n=%d: %d far and %d kernel pairs recorded, want both", r.DoF, r.FarPairs, r.KernelPairs)
 		}
 	}
 	if bar := 10 * hb.Eps; hb.MaxReqRelErr > bar {

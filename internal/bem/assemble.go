@@ -52,6 +52,11 @@ type Assembler struct {
 	// post-processing consumers (see fieldeval.go).
 	evalOnce sync.Once
 	eval     *FieldEvaluator
+
+	// farOnce/farState lazily build the far-pair tables of the H-matrix
+	// entry generator (see farfield.go).
+	farOnce  sync.Once
+	farState *farField
 }
 
 // New prepares an assembler. It validates that no element spans a layer
@@ -125,9 +130,9 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 // Footprint estimates the resident bytes an assembler pins beyond its mesh:
 // the quadrature geometry, the per-layer-pair image expansions (32 B per
 // soil.Image) and the field-evaluation plans of every observation layer
-// (headers plus shared ladders), counted whether or not the plans have been
-// built yet. It is the sizing input of groundd's byte-bounded cache of
-// solved systems.
+// (headers plus shared ladders) and the far-pair tables, counted whether or
+// not the plans and tables have been built yet. It is the sizing input of
+// groundd's byte-bounded cache of solved systems.
 func (a *Assembler) Footprint() int64 {
 	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8
 	for _, series := range a.groups {
@@ -138,7 +143,27 @@ func (a *Assembler) Footprint() int64 {
 	for l := 1; l <= a.model.NumLayers(); l++ {
 		n += a.planShapeOf(l).bytes()
 	}
-	return n
+	return n + a.farFootprint()
+}
+
+// SeriesWarnings reports image series that the MaxGroups cap cuts short.
+// The group-n terms of a two-layer model scale as |κ|ⁿ, so when
+// |κ|^MaxGroups > SeriesTol every pair kernel stops before its terms fall
+// below the series tolerance and the matrix carries the truncation error.
+// N-layer expansions are not checked.
+func (a *Assembler) SeriesWarnings() []string {
+	tl, ok := a.model.(*soil.TwoLayer)
+	if !ok {
+		return nil
+	}
+	k := math.Abs(tl.K())
+	tail := math.Pow(k, float64(a.opt.MaxGroups))
+	if tail <= a.opt.SeriesTol {
+		return nil
+	}
+	return []string{fmt.Sprintf(
+		"bem: image series of soil layers 1–2 (κ = %.4f) cut at MaxGroups = %d with terms still at |κ|^%d = %.2g > SeriesTol %.2g",
+		tl.K(), a.opt.MaxGroups, a.opt.MaxGroups, tail, a.opt.SeriesTol)}
 }
 
 // WorkerBusy returns the per-worker busy durations of the most recent

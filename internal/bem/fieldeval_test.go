@@ -247,24 +247,69 @@ func TestPlanLaddersShared(t *testing.T) {
 	}
 }
 
-// TestFootprintCountsPlans pins that Footprint bounds the plans from above
-// whether or not they have been built: it is the same before and after the
-// lazy build, and at least the geometry plus the built plans' bytes.
+// TestFootprintCountsPlans pins that Footprint bounds the plans and the
+// far-pair tables from above whether or not they have been built: it is the
+// same before and after the lazy builds, and at least the geometry plus the
+// built plans' and tables' bytes. The small fixture grid is narrower than
+// the far path's minimum distance, so an interconnected grid, whose tables
+// do get built, rides along.
 func TestFootprintCountsPlans(t *testing.T) {
+	fixtures := map[string]*Assembler{}
 	for name, model := range flatFixtureModels(t) {
-		a, _ := fieldEvalFixture(t, model, grid.Linear)
+		fixtures[name], _ = fieldEvalFixture(t, model, grid.Linear)
+	}
+	inter, err := grid.Discretize(grid.Interconnected(300, 2).SplitAtDepths(1.0), grid.Linear, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixtures["interconnected"], err = New(inter, soil.NewTwoLayer(0.0025, 0.020, 1.0), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range fixtures {
+		model := a.model
 		before := a.Footprint()
 		built := a.Geometry.Footprint()
 		for obs := 1; obs <= model.NumLayers(); obs++ {
 			built += builtPlanBytes(a.Evaluator().plan(obs))
 		}
+		far := buildAllFarTables(a)
+		built += far
+		if name == "interconnected" && len(a.far().classes) == 0 {
+			t.Errorf("%s: no far-pair tables to count", name)
+		}
 		if after := a.Footprint(); after != before {
-			t.Errorf("%s: Footprint %d before the plans were built, %d after", name, before, after)
+			t.Errorf("%s: Footprint %d before the plans and tables were built, %d after", name, before, after)
 		}
 		if before < built {
-			t.Errorf("%s: Footprint %d < geometry + built plans %d", name, before, built)
+			t.Errorf("%s: Footprint %d < geometry + built plans and far tables %d", name, before, built)
 		}
 	}
+}
+
+// buildAllFarTables builds every far-pair table whose source class has a
+// ladder in the observation layer and returns the bytes the far state then
+// holds.
+func buildAllFarTables(a *Assembler) int64 {
+	ff := a.far()
+	n := int64(unsafe.Sizeof(*ff)) + 4*int64(cap(ff.class)) +
+		int64(unsafe.Sizeof(farClass{}))*int64(cap(ff.classes)) +
+		int64(unsafe.Sizeof(lazyFarTable{}))*int64(cap(ff.tables))
+	for obs := range ff.classes {
+		p := a.Evaluator().plan(a.model.LayerOf(ff.classes[obs].z))
+		for src := range ff.classes {
+			for e, c := range ff.class {
+				if int(c) != src || p.byElem[e] < 0 {
+					continue
+				}
+				pe := &p.elems[p.byElem[e]]
+				tab := ff.table(int32(obs), int32(src), p.imgs[p.grpOff[pe.grpLo]:p.grpOff[pe.grpHi]])
+				n += int64(unsafe.Sizeof(*tab)) + 8*int64(cap(tab.fd)) +
+					int64(unsafe.Sizeof(nearImage{}))*int64(cap(tab.near))
+				break
+			}
+		}
+	}
+	return n
 }
 
 func benchFixture(b *testing.B) (*Assembler, []float64, []geom.Vec3) {

@@ -267,6 +267,17 @@ func interfaceDepths(model soil.Model) []float64 {
 	return depths
 }
 
+// resultWarnings returns the preprocessing warnings followed by the
+// assembler's series warnings, copying when it adds any: the preprocessing
+// slice may be shared by the scenarios of one mesh.
+func resultWarnings(warnings []string, asm *bem.Assembler) []string {
+	sw := asm.SeriesWarnings()
+	if len(sw) == 0 {
+		return warnings
+	}
+	return append(append([]string(nil), warnings...), sw...)
+}
+
 // validGPR applies the unit-GPR default and validates the result.
 func validGPR(cfg *Config) error {
 	if cfg.GPR == 0 {
@@ -408,7 +419,7 @@ func CompleteAssembled(asm *bem.Assembler, model soil.Model, r *linalg.SymMatrix
 		Model:     model,
 		GPR:       cfg.GPR,
 		LoopStats: stats,
-		Warnings:  warnings,
+		Warnings:  resultWarnings(warnings, asm),
 		asm:       asm,
 	}
 	if err := solveSystem(res, r, cfg); err != nil {
@@ -451,7 +462,7 @@ func Rehydrate(g *grid.Grid, model soil.Model, sigma []float64, cfg Config) (*Re
 		Model:    model,
 		Sigma:    sigma,
 		GPR:      cfg.GPR,
-		Warnings: warnings,
+		Warnings: resultWarnings(warnings, asm),
 		asm:      asm,
 	}
 	if err := finishResults(res, cfg.GPR); err != nil {
@@ -536,6 +547,7 @@ func analyze(ctx context.Context, g *grid.Grid, mesh *grid.Mesh, model soil.Mode
 		return nil, fmt.Errorf("core: preprocess: %w", err)
 	}
 	res.asm = asm
+	res.Warnings = resultWarnings(res.Warnings, asm)
 	res.Timings.Preprocess = time.Since(start)
 
 	// The compressed tier replaces both the dense matrix-generation and the

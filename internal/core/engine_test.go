@@ -337,6 +337,41 @@ func TestBondingWarning(t *testing.T) {
 	}
 }
 
+// TestTruncatedLadderWarning: a two-layer soil whose default 256-group image
+// ladder stops while |κ|^256 is still above SeriesTol reports the cut on the
+// Result, on the dense and on the compressed path; the paper's soils and the
+// benchmark workloads' soils (|κ| ≤ 0.78, 0.78^256 ≈ 1e-28) do not.
+func TestTruncatedLadderWarning(t *testing.T) {
+	g := grid.RectMesh(0, 0, 10, 10, 2, 2, 0.8, 0.006)
+	steep := soil.NewTwoLayer(0.0005, 0.05, 2.0) // κ ≈ −0.98
+	for _, solver := range []SolverKind{PCG, SolverHMatrix} {
+		res, err := Analyze(g, steep, Config{Solver: solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], "MaxGroups = 256") ||
+			!strings.Contains(res.Warnings[0], "layers 1–2") {
+			t.Errorf("%v: warnings = %q, want one naming the cut at MaxGroups and the layer pair", solver, res.Warnings)
+		}
+	}
+	for name, model := range map[string]soil.Model{
+		"A":                 soil.NewUniform(0.020),
+		"B":                 soil.NewTwoLayer(0.0025, 0.020, 0.7),
+		"C (interconnect)":  soil.NewTwoLayer(0.0025, 0.020, 1.0),
+		"design-loop":       soil.NewTwoLayer(0.005, 0.016, 1.0),
+		"groundd-mix worst": soil.NewTwoLayer(0.004, 0.0201, 1.2),
+		"kappa+0.78":        soil.NewTwoLayer(0.020, 0.0025, 1.0),
+	} {
+		res, err := Analyze(g, model, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Warnings) != 0 {
+			t.Errorf("soil %s: unexpected warnings %q", name, res.Warnings)
+		}
+	}
+}
+
 func TestSolverKindString(t *testing.T) {
 	if PCG.String() != "pcg" || Cholesky.String() != "cholesky" {
 		t.Error("SolverKind strings wrong")

@@ -157,7 +157,7 @@ func CompleteHMatrix(ctx context.Context, asm *bem.Assembler, model soil.Model, 
 		Mesh:     asm.Mesh(),
 		Model:    model,
 		GPR:      cfg.GPR,
-		Warnings: warnings,
+		Warnings: resultWarnings(warnings, asm),
 		asm:      asm,
 	}
 	if err := runHMatrixWithFallback(ctx, res, asm, cfg); err != nil {

@@ -50,6 +50,12 @@ type HMatrixRung struct {
 	DenseBytes    int64   `json:"dense_equivalent_bytes"`
 	Compression   float64 `json:"compression_ratio"`
 
+	// Element pairs of the build by path: far-pair tables, geometric cache
+	// hits and pair-kernel evaluations (hmatrix.BuildStats).
+	FarPairs    int64 `json:"far_pairs"`
+	GeoHits     int64 `json:"geo_hits"`
+	KernelPairs int64 `json:"kernel_pairs"`
+
 	// Dense reference, measured only when the rung is at or below the dense
 	// cutoff: flat-kernel assembly + blocked Cholesky + triangular solves.
 	DenseMeasured   bool    `json:"dense_measured"`
@@ -153,6 +159,7 @@ func runHMatrixRung(target int, seed int64, q Quality, workers, denseCutoff int)
 	out.HMatrixBytes = st.Bytes
 	out.DenseBytes = st.DenseBytes
 	out.Compression = st.CompressionRatio()
+	out.FarPairs, out.GeoHits, out.KernelPairs = st.FarPairs, st.GeoHits, st.KernelPairs
 
 	if target > denseCutoff {
 		return out, nil
@@ -250,8 +257,9 @@ func HMatrixScaling(out io.Writer, q Quality, workers int, jsonPath string) (err
 	fmt.Fprintf(w, "eps %.0e, series tol %.0e, %d workers, seed %d\n",
 		hb.Eps, hb.SeriesTol, hb.Workers, hb.Seed)
 	for _, r := range hb.Rungs {
-		fmt.Fprintf(w, "n=%5d (%5d elems): build %9.0f ms  solve %6.0f ms  cg %3d  ranks ≤%3d avg %5.1f  mem %.3f×",
-			r.DoF, r.Elements, r.BuildMs, r.SolveMs, r.CGIterations, r.MaxRank, r.AvgRank, r.Compression)
+		fmt.Fprintf(w, "n=%5d (%5d elems): build %9.0f ms  solve %6.0f ms  cg %3d  ranks ≤%3d avg %5.1f  mem %.3f×  pairs far %d geo %d kernel %d",
+			r.DoF, r.Elements, r.BuildMs, r.SolveMs, r.CGIterations, r.MaxRank, r.AvgRank, r.Compression,
+			r.FarPairs, r.GeoHits, r.KernelPairs)
 		if r.DenseMeasured {
 			fmt.Fprintf(w, "  | dense asm %8.0f ms factor %6.0f ms  |ΔReq|/Req %.2e", r.DenseAssemblyMs, r.DenseFactorMs, r.ReqRelErr)
 		}

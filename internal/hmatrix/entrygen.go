@@ -54,15 +54,19 @@ func adjacency(m *grid.Mesh) [][]elemRef {
 // the block's element footprint. A filler must not be shared between
 // concurrent workers.
 //
-// Behind the per-block cache sits an optional geometric cache keyed on
-// bem.AppendPairGeomKey signatures and persistent across blocks: grounding
-// lattices repeat the same relative pair geometry thousands of times, and
-// the canonicalized evaluation (bem.PairMatrixQuant) is an exact function of
-// the signature, so reuse is bitwise deterministic no matter which block,
-// worker or schedule first computed a configuration. Entries carry the
-// quantization's ≲ 1e-9 relative perturbation, which is why Build only
-// enables the cache when the block tolerance keeps two orders of margin
-// (ε ≥ 1e-7) and ExactGeometry is unset.
+// Behind the per-block cache sit two approximate pair paths, both enabled
+// only when the block tolerance keeps two orders of margin over their
+// entry perturbation (ε ≥ 1e-7) and ExactGeometry is unset:
+//
+//   - the far path (bem.PairMatrixFar): well-separated horizontal pairs are
+//     integrated from tabulated image sums, a few 1e-9 off the converged
+//     integrals and a pure function of the pair, so it needs no cache;
+//   - a geometric cache keyed on bem.AppendPairGeomKey signatures and
+//     persistent across blocks: grounding lattices repeat the same relative
+//     pair geometry thousands of times, and the canonicalized evaluation
+//     (bem.PairMatrixQuant, ≲ 1e-9 relative perturbation) is an exact
+//     function of the signature, so reuse is bitwise deterministic no matter
+//     which block, worker or schedule first computed a configuration.
 type filler struct {
 	asm *bem.Assembler
 	adj [][]elemRef
@@ -75,6 +79,10 @@ type filler struct {
 	geo     map[string]int // geometric signature → offset into geoSlab
 	geoSlab []float64
 	keyBuf  []byte
+
+	// Pairs served by the far path, by the geometric cache and by the
+	// kernel (PairMatrix or PairMatrixQuant).
+	farPairs, geoHits, kernelPairs int64
 }
 
 // geoCacheCap bounds the geometric cache entries per worker (~2M signatures;
@@ -92,8 +100,8 @@ func newFiller(asm *bem.Assembler, adj [][]elemRef, k int, cs *bem.ColumnScratch
 	}
 }
 
-// enableGeoCache switches the filler to canonicalized pair evaluation with
-// cross-block geometric reuse.
+// enableGeoCache switches the filler to the far path and to canonicalized
+// pair evaluation with cross-block geometric reuse.
 func (f *filler) enableGeoCache() {
 	f.geo = make(map[string]int)
 }
@@ -125,25 +133,34 @@ func (f *filler) pair(e1, e2 int) []float64 {
 	return out
 }
 
-// fillPair computes the elemental matrix of (beta, alpha) into out, through
-// the geometric cache when enabled and the pair supports canonicalized
-// evaluation.
+// fillPair computes the elemental matrix of (beta, alpha) into out. When
+// the approximate paths are enabled, far pairs take the far path and skip
+// the cache entirely; other pairs go through the geometric cache when they
+// support canonicalized evaluation.
 func (f *filler) fillPair(beta, alpha int, out []float64) {
 	if f.geo == nil {
+		f.kernelPairs++
 		f.asm.PairMatrix(beta, alpha, out, f.cs)
+		return
+	}
+	if f.asm.PairMatrixFar(beta, alpha, out) {
+		f.farPairs++
 		return
 	}
 	buf, ok := f.asm.AppendPairGeomKey(beta, alpha, f.keyBuf[:0])
 	f.keyBuf = buf
 	if !ok {
+		f.kernelPairs++
 		f.asm.PairMatrix(beta, alpha, out, f.cs)
 		return
 	}
 	kk := f.k * f.k
 	if off, hit := f.geo[string(buf)]; hit {
+		f.geoHits++
 		copy(out, f.geoSlab[off:off+kk])
 		return
 	}
+	f.kernelPairs++
 	f.asm.PairMatrixQuant(beta, alpha, out, f.cs)
 	if len(f.geo) < geoCacheCap {
 		off := len(f.geoSlab)

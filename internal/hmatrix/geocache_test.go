@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"earthing/internal/bem"
 	"earthing/internal/grid"
 	"earthing/internal/soil"
 )
@@ -57,6 +58,47 @@ func TestGeoCacheDisabledBelowEps(t *testing.T) {
 		if got := matvecRelErr(t, h, s.dense, 9); got > 1e-12 {
 			t.Errorf("Eps=%g ExactGeometry=%v: all-dense build differs from dense matrix by %.3g",
 				p.Eps, p.ExactGeometry, got)
+		}
+		if st := h.Stats(); st.FarPairs != 0 || st.GeoHits != 0 {
+			t.Errorf("Eps=%g ExactGeometry=%v: %d far pairs and %d geometric cache hits, want none",
+				p.Eps, p.ExactGeometry, st.FarPairs, st.GeoHits)
+		}
+	}
+}
+
+// TestBuildStatsPairCounters pins the pair counters of a default build: the
+// far path serves pairs, and the far count and the cache-plus-kernel count
+// do not depend on the worker count (only the split between cache hits and
+// kernel calls does, since each worker keeps its own cache). The 4-worker
+// build also has its workers race for the lazily built far tables, which
+// the -race run of this package checks.
+func TestBuildStatsPairCounters(t *testing.T) {
+	m, err := grid.Discretize(grid.Interconnected(300, 2).SplitAtDepths(1.0), grid.Linear, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref BuildStats
+	for _, workers := range []int{1, 4} {
+		asm, err := bem.New(m, soil.NewTwoLayer(0.0025, 0.020, 1.0), bem.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Build(context.Background(), asm, Params{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := h.Stats()
+		if st.FarPairs <= 0 || st.KernelPairs <= 0 {
+			t.Fatalf("workers=%d: far %d, cache %d, kernel %d pairs; want far and kernel pairs",
+				workers, st.FarPairs, st.GeoHits, st.KernelPairs)
+		}
+		if workers == 1 {
+			ref = st
+			continue
+		}
+		if st.FarPairs != ref.FarPairs || st.GeoHits+st.KernelPairs != ref.GeoHits+ref.KernelPairs {
+			t.Errorf("workers=%d: far %d, cache+kernel %d; 1 worker: far %d, cache+kernel %d",
+				workers, st.FarPairs, st.GeoHits+st.KernelPairs, ref.FarPairs, ref.GeoHits+ref.KernelPairs)
 		}
 	}
 }

@@ -28,14 +28,16 @@ type Params struct {
 	// Workers is the parallel width of the block fill and the matvec
 	// (≤ 0 selects GOMAXPROCS).
 	Workers int
-	// ExactGeometry disables the geometric pair cache, forcing every
-	// elemental integral through the assembler's exact pair kernel. By
-	// default (false), builds with Eps ≥ 1e-7 evaluate pairs on
-	// canonicalized geometry (bem.PairMatrixQuant) and share one elemental
-	// matrix across congruent pairs — a large constant-factor win on lattice
-	// grids, at a ≲ 1e-9 relative entry perturbation that the enabling
-	// threshold keeps two orders below the block tolerance. Set it for
-	// bit-level comparisons of the assembled blocks against the dense path.
+	// ExactGeometry disables the far-pair path and the geometric pair
+	// cache, forcing every elemental integral through the assembler's exact
+	// pair kernel. By default (false), builds with Eps ≥ 1e-7 integrate
+	// well-separated horizontal pairs from tabulated image sums
+	// (bem.PairMatrixFar) and evaluate the other pairs on canonicalized
+	// geometry (bem.PairMatrixQuant), sharing one elemental matrix across
+	// congruent pairs — large constant-factor wins on lattice grids, at
+	// entry perturbations of a few 1e-9 relative that the enabling threshold
+	// keeps two orders below the block tolerance. Set it for bit-level
+	// comparisons of the assembled blocks against the dense path.
 	ExactGeometry bool
 	// Schedule distributes blocks over workers (zero value: dynamic,1 — the
 	// block costs are as irregular as the element-pair columns).
@@ -99,6 +101,15 @@ type BuildStats struct {
 	AvgRank     float64 // mean stored rank over low-rank blocks
 	Bytes       int64   // compressed storage (block payloads)
 	DenseBytes  int64   // packed dense equivalent n(n+1)/2 × 8
+
+	// Element pairs evaluated for the build, by path: the far-pair tables,
+	// the geometric cache, and the pair kernel. Pairs repeated within a
+	// block are counted once per block. FarPairs and GeoHits+KernelPairs do
+	// not depend on the worker count; the split between GeoHits and
+	// KernelPairs does, because each worker keeps its own cache.
+	FarPairs    int64
+	GeoHits     int64
+	KernelPairs int64
 }
 
 // CompressionRatio returns compressed bytes over packed dense bytes.
@@ -172,8 +183,9 @@ func Build(ctx context.Context, asm *bem.Assembler, p Params) (*HMatrix, error) 
 		f := fillers[w]
 		if f == nil {
 			f = newFiller(asm, adj, k, asm.ColumnScratchFromArena(&arenas[w]))
-			// The geometric cache's ≲ 1e-9 entry perturbation needs two
-			// orders of margin under the block tolerance.
+			// The far path's and the geometric cache's few-1e-9 entry
+			// perturbations need two orders of margin under the block
+			// tolerance.
 			if !p.ExactGeometry && p.Eps >= 1e-7 {
 				f.enableGeoCache()
 			}
@@ -196,6 +208,13 @@ func Build(ctx context.Context, asm *bem.Assembler, p Params) (*HMatrix, error) 
 	}
 
 	h.finalize()
+	for _, f := range fillers {
+		if f != nil {
+			h.stats.FarPairs += f.farPairs
+			h.stats.GeoHits += f.geoHits
+			h.stats.KernelPairs += f.kernelPairs
+		}
+	}
 	return h, nil
 }
 
