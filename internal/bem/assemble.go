@@ -35,21 +35,13 @@ type Assembler struct {
 	lastBusy  []time.Duration
 	lastPairs []int64
 
-	// Image expansions per (src, obs) layer pair, grouped by series index.
-	// Pairs without a closed image form are absent and fall back to
-	// quadrature of Model.PointPotential, so a model may mix fast image
-	// kernels (e.g. the top layer of an N-layer soil) with slow exact ones.
-	groups map[[2]int][][]soil.Image
-	// images reports whether every layer pair has an image expansion (the
-	// analytic-gradient fast path requires all of them).
-	images bool
-
-	// innerScratch pools k-sized inner-integral buffers so the legacy
-	// per-point Potential path does not allocate per call.
-	innerScratch sync.Pool
-
 	// evalOnce/eval lazily build the batched field evaluator shared by all
-	// post-processing consumers (see fieldeval.go).
+	// post-processing consumers (see fieldeval.go). Its per-observation-layer
+	// plans hold the only flattened copy of the image expansions; the flat
+	// assembly kernel reads them too. Layer pairs without a closed image
+	// form fall back to quadrature of Model.PointPotential, so a model may
+	// mix fast image kernels (e.g. the top layer of an N-layer soil) with
+	// slow exact ones.
 	evalOnce sync.Once
 	eval     *FieldEvaluator
 
@@ -71,8 +63,9 @@ func New(m *grid.Mesh, model soil.Model, opt Options) (*Assembler, error) {
 }
 
 // NewWithGeometry prepares an assembler on an existing shared Geometry: only
-// the soil-dependent state (element layers, image expansions) is rebuilt, so
-// N assemblers over the same mesh pay the quadrature-geometry setup once.
+// the soil-dependent state (element layers, and lazily the image plans) is
+// rebuilt, so N assemblers over the same mesh pay the quadrature-geometry
+// setup once.
 // The options must select the same integration orders the geometry was built
 // with.
 func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, error) {
@@ -103,47 +96,23 @@ func NewWithGeometry(geo *Geometry, model soil.Model, opt Options) (*Assembler, 
 		}
 		a.elemLayer[e] = layer
 	}
-
-	a.groups = map[[2]int][][]soil.Image{}
-	a.images = true
-	nl := model.NumLayers()
-	for src := 1; src <= nl; src++ {
-		for obs := 1; obs <= nl; obs++ {
-			imgs, ok := model.ImageExpansion(src, obs, opt.MaxGroups)
-			if !ok {
-				a.images = false
-				continue
-			}
-			var grouped [][]soil.Image
-			for _, im := range imgs {
-				for im.Group >= len(grouped) {
-					grouped = append(grouped, nil)
-				}
-				grouped[im.Group] = append(grouped[im.Group], im)
-			}
-			a.groups[[2]int{src, obs}] = grouped
-		}
-	}
 	return a, nil
 }
 
 // Footprint estimates the resident bytes an assembler pins beyond its mesh:
-// the quadrature geometry, the per-layer-pair image expansions (32 B per
-// soil.Image) and the field-evaluation plans of every observation layer
-// (headers plus shared ladders) and the far-pair tables, counted whether or
-// not the plans and tables have been built yet. It is the sizing input of
-// groundd's byte-bounded cache of solved systems.
+// the quadrature geometry, the field-evaluation plans of every observation
+// layer (headers, shared ladders and the folded surface copy) and the
+// far-pair tables, counted whether or not the plans and tables have been
+// built yet. It is the sizing input of groundd's byte-bounded cache of
+// solved systems.
 func (a *Assembler) Footprint() int64 {
 	n := a.Geometry.Footprint() + int64(len(a.elemLayer))*8
-	for _, series := range a.groups {
-		for _, imgs := range series {
-			n += int64(len(imgs)) * 32
-		}
+	series := make([][][][]soil.Image, a.model.NumLayers()) // [obs−1][src−1]
+	for l := range series {
+		series[l] = a.layerSeries(l + 1)
+		n += a.planShapeOf(l+1, series[l]).bytes()
 	}
-	for l := 1; l <= a.model.NumLayers(); l++ {
-		n += a.planShapeOf(l).bytes()
-	}
-	return n + a.farFootprint()
+	return n + a.farFootprint(series)
 }
 
 // SeriesWarnings reports image series that the MaxGroups cap cuts short.
@@ -392,13 +361,13 @@ func (a *Assembler) runPairLoop(ctx context.Context, body func(beta, alpha int, 
 // (row-major k×k, out[j·k+i] = ∫_β w_j ∫_α N_i G dΓ_α dΓ_β): the double
 // integral of eq. (4.5) with the kernel series truncated group by group
 // "until a tolerance is fulfilled or an upper limit of summands is achieved"
-// (§4.3). Layer pairs with an image expansion run the flat kernel
-// (flatkernel.go); the rest fall back to quadrature.
+// (§4.3). Sources with an image ladder in the observation layer's plan run
+// the flat kernel (flatkernel.go); the rest fall back to quadrature.
 func (a *Assembler) pairMatrix(beta, alpha int, out []float64, s *pairScratch) {
 	for i := range out {
 		out[i] = 0
 	}
-	if _, ok := a.groups[[2]int{a.elemLayer[alpha], a.elemLayer[beta]}]; ok {
+	if a.Evaluator().plan(a.elemLayer[beta]).byElem[alpha] >= 0 {
 		a.pairMatrixFlat(beta, alpha, out, s)
 	} else {
 		faultinject.Fire(faultinject.Quadrature, beta, out)

@@ -7,6 +7,7 @@ import (
 
 	"earthing/internal/geom"
 	"earthing/internal/quad"
+	"earthing/internal/soil"
 )
 
 // Far-pair Green's function tables. For two horizontal elements far apart
@@ -209,21 +210,22 @@ func (ff *farField) tableBytes(nearImages int) int64 {
 
 // farFootprint returns the resident bytes of the far-pair state with every
 // table built: the class index, the table slots and one table per class
-// pair whose source has a ladder in the observation layer.
-func (a *Assembler) farFootprint() int64 {
+// pair whose source has a ladder in the observation layer. series[obs−1]
+// holds the expansions seen from each layer (see layerSeries).
+func (a *Assembler) farFootprint(series [][][][]soil.Image) int64 {
 	ff := a.far()
 	n := int64(unsafe.Sizeof(farField{})) + 4*int64(len(ff.class)) +
 		int64(unsafe.Sizeof(farClass{}))*int64(len(ff.classes)) +
 		int64(unsafe.Sizeof(lazyFarTable{}))*int64(len(ff.tables))
 	for _, obs := range ff.classes {
-		obsLayer := a.model.LayerOf(obs.z)
+		obsSeries := series[a.model.LayerOf(obs.z)-1]
 		for _, src := range ff.classes {
-			series, ok := a.groups[[2]int{a.model.LayerOf(src.z), obsLayer}]
-			if !ok {
+			groups := obsSeries[a.model.LayerOf(src.z)-1]
+			if groups == nil {
 				continue
 			}
 			near := 0
-			for _, grp := range series {
+			for _, grp := range groups {
 				for _, im := range grp {
 					if dz := obs.z - (im.Sign*src.z + im.Offset); dz*dz < src.radius2 {
 						near++

@@ -150,7 +150,8 @@ func clampKink(a *Assembler, beta, alpha int) bool {
 		lo = 0
 	}
 	r2 := elA.Radius * elA.Radius
-	for _, grp := range a.groups[[2]int{a.elemLayer[alpha], a.elemLayer[beta]}] {
+	series := a.layerSeries(a.elemLayer[beta])[a.elemLayer[alpha]-1]
+	for _, grp := range series {
 		for _, im := range grp {
 			dz := elB.Seg.A.Z - (im.Sign*elA.Seg.A.Z + im.Offset)
 			if lo*lo+dz*dz < r2 && hi*hi+dz*dz >= r2 {
@@ -173,7 +174,7 @@ func directReference(a *Assembler, beta, alpha int, out []float64) {
 	d := elA.Seg.Dir()
 	lenA, lenB := elA.Seg.Length(), elB.Seg.Length()
 	r2min := elA.Radius * elA.Radius
-	series := a.groups[[2]int{a.elemLayer[alpha], a.elemLayer[beta]}]
+	series := a.layerSeries(a.elemLayer[beta])[a.elemLayer[alpha]-1]
 	rule := quad.GaussLegendre(16)
 	var acc [4]quad.KahanSum
 	for gi, xg := range rule.X {

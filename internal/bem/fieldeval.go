@@ -11,14 +11,17 @@ import (
 	"earthing/internal/geom"
 	"earthing/internal/quad"
 	"earthing/internal/sched"
+	"earthing/internal/soil"
 )
 
 // FieldEvaluator is the batched, allocation-free field evaluation engine for
 // the post-processing hot spot (§4.3): dense surface-potential and gradient
-// rasters cost O(points × elements × images) kernel evaluations, and the
-// legacy per-point path re-derives every image-reflected segment
+// rasters cost O(points × elements × images) kernel evaluations, and a
+// direct evaluation re-derives every image-reflected segment
 // im.ApplySegment(el.Seg) for every observation point even though the
-// reflected geometry depends only on (element, image).
+// reflected geometry depends only on (element, image). It is the only
+// potential and gradient evaluator; the direct per-point form is the test
+// oracle of potential_test.go.
 //
 // The evaluator splits that work into a precompute phase and a streaming
 // phase. At construction (lazily, per observation layer) it flattens each
@@ -31,10 +34,18 @@ import (
 // with two square roots and one logarithm per image (the closed form
 // asinh(a) + asinh(b) = log((a+√(a²+1))·(b+√(b²+1))) evaluated
 // cancellation-safely), preserving the element order, KahanSum accumulation
-// and per-group tolerance early-exit of the legacy path to ≪ 1e-10.
+// and per-group tolerance early-exit of the direct form to ≪ 1e-10.
+//
+// Surface points (x.Z == 0, the raster and safety hot spot) take two more
+// shortcuts in PotentialAt. Every image (az, sz, w) of a surface ladder has
+// a mirror (−az, −sz, w) in its group whose term is bit-identical on z = 0,
+// so the observation-layer-1 plan carries a folded copy of its ladders with
+// each mirror pair merged into one image of weight 2w; and the equal-weight
+// groups of horizontal sources take one logarithm per group (fusedGroup),
+// as the assembler's flat kernel does.
 //
 // Layer pairs without an image expansion (N ≥ 3 layer models outside the
-// top layer) keep the exact Gauss-quadrature fallback of the legacy path.
+// top layer) fall back to Gauss quadrature of Model.PointPotential.
 //
 // Obtain one with Assembler.Evaluator (cached, concurrency-safe); all batch
 // and per-point methods are safe for concurrent use.
@@ -71,6 +82,14 @@ type evalPlan struct {
 	// [planElem.grpLo, planElem.grpHi), shared by every element with the
 	// same ladderKey; a trailing sentinel closes the last.
 	grpOff []int32
+
+	// fold and foldOff are the surface copy of the ladders, built for
+	// observation layer 1 only: group g of fold is group g of imgs with
+	// every mirror pair merged (see foldGroup), so it spans
+	// fold[foldOff[g]:foldOff[g+1]] and the group structure — and with it
+	// each element's [grpLo, grpHi) — is unchanged.
+	fold    []planImage
+	foldOff []int32
 }
 
 // planImage is one image-reflected segment: the transformed endpoint depth
@@ -123,7 +142,8 @@ func (fe *FieldEvaluator) plan(obsLayer int) *evalPlan {
 // with the same ladder key share one flattened ladder (see planShapeOf), and
 // every slice is allocated at its final size, so planShape.bytes is exact.
 func buildPlan(a *Assembler, obsLayer int) *evalPlan {
-	sh := a.planShapeOf(obsLayer)
+	series := a.layerSeries(obsLayer)
+	sh := a.planShapeOf(obsLayer, series)
 	m := len(a.mesh.Elements)
 	p := &evalPlan{
 		elems:  make([]planElem, 0, m-sh.quad),
@@ -134,25 +154,30 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 	if sh.quad > 0 {
 		p.quadElems = make([]int32, 0, sh.quad)
 	}
+	if sh.fold {
+		p.fold = make([]planImage, 0, sh.folded)
+		p.foldOff = make([]int32, 0, sh.groups+1)
+	}
 	// Flatten each distinct ladder once, from the first element using it.
 	span := make([][2]int32, len(sh.firsts))
 	for li, e := range sh.firsts {
-		el := &a.mesh.Elements[e]
-		tz := el.Seg.Dir().Z
+		seg := &a.mesh.Elements[e].Seg
+		tz := seg.Dir().Z
 		span[li][0] = int32(len(p.grpOff))
-		for _, grp := range a.groups[[2]int{a.elemLayer[e], obsLayer}] {
+		for _, grp := range series[a.elemLayer[e]-1] {
 			p.grpOff = append(p.grpOff, int32(len(p.imgs)))
-			for _, im := range grp {
-				p.imgs = append(p.imgs, planImage{
-					az: im.Sign*el.Seg.A.Z + im.Offset,
-					sz: im.Sign * tz,
-					w:  im.Weight,
-				})
+			p.imgs = appendGroup(p.imgs, grp, seg.A.Z, tz)
+			if sh.fold {
+				p.foldOff = append(p.foldOff, int32(len(p.fold)))
+				p.fold = foldGroup(p.fold, p.imgs[p.grpOff[len(p.grpOff)-1]:])
 			}
 		}
 		span[li][1] = int32(len(p.grpOff))
 	}
 	p.grpOff = append(p.grpOff, int32(len(p.imgs)))
+	if sh.fold {
+		p.foldOff = append(p.foldOff, int32(len(p.fold)))
+	}
 
 	for e := range a.mesh.Elements {
 		li := sh.ladder[e]
@@ -189,6 +214,81 @@ func buildPlan(a *Assembler, obsLayer int) *evalPlan {
 	return p
 }
 
+// appendGroup appends the images of one series group reflected about a
+// source segment that starts at depth az0 and has axial direction z
+// component tz.
+func appendGroup(dst []planImage, grp []soil.Image, az0, tz float64) []planImage {
+	for _, im := range grp {
+		dst = append(dst, planImage{
+			az: im.Sign*az0 + im.Offset,
+			sz: im.Sign * tz,
+			w:  im.Weight,
+		})
+	}
+	return dst
+}
+
+// foldGroup appends one series group to dst with its mirror pairs merged:
+// an image (az, sz, w) and a later unpaired image that is bitwise
+// (−az, −sz, w) become one image (az, sz, 2w) in the first one's place.
+// Seen from z = 0 the two have dz = ∓az, the same axial projection and the
+// same ρ², so their terms are bit-identical and 2w·term is their exact sum.
+// Images without a partner are kept as they are, in order.
+func foldGroup(dst, grp []planImage) []planImage {
+	taken := make([]bool, len(grp))
+	for i, im := range grp {
+		if taken[i] {
+			continue
+		}
+		for j := i + 1; j < len(grp); j++ {
+			if !taken[j] && isMirror(im, grp[j]) {
+				taken[j] = true
+				im.w *= 2
+				break
+			}
+		}
+		dst = append(dst, im)
+	}
+	return dst
+}
+
+// isMirror reports whether b is bitwise the z = 0 mirror image of a.
+func isMirror(a, b planImage) bool {
+	return math.Float64bits(b.az) == math.Float64bits(-a.az) &&
+		math.Float64bits(b.sz) == math.Float64bits(-a.sz) &&
+		math.Float64bits(b.w) == math.Float64bits(a.w)
+}
+
+// layerSeries returns, per source layer, the image expansion seen from
+// obsLayer split into its series groups; entry src−1 is nil when the pair
+// has no image form and falls back to quadrature of Model.PointPotential.
+// Models list images in group order, so each group is a subslice of the
+// expansion. The model keeps the only resident copy; callers hold the
+// result only while they flatten or count it.
+func (a *Assembler) layerSeries(obsLayer int) [][][]soil.Image {
+	series := make([][][]soil.Image, a.model.NumLayers())
+	for src := range series {
+		imgs, ok := a.model.ImageExpansion(src+1, obsLayer, a.opt.MaxGroups)
+		if !ok {
+			continue
+		}
+		var groups [][]soil.Image
+		for lo := 0; lo < len(imgs); {
+			hi := lo + 1
+			for hi < len(imgs) && imgs[hi].Group == imgs[lo].Group {
+				hi++
+			}
+			for len(groups) < imgs[lo].Group {
+				groups = append(groups, nil)
+			}
+			groups = append(groups, imgs[lo:hi:hi])
+			lo = hi
+		}
+		series[src] = groups
+	}
+	return series
+}
+
 // ladderKey identifies a flattened image ladder within one observation
 // layer. The stored images (az, sz, w) depend only on the source layer's
 // expansion, the start depth A.Z and the axial direction z of the source
@@ -207,33 +307,44 @@ type planShape struct {
 	quad   int     // quadrature-fallback elements
 	imgs   int     // images over all distinct ladders
 	groups int     // series groups over all distinct ladders
+	// fold marks observation layer 1, whose plan carries the folded surface
+	// copy of its ladders (folded images in all).
+	fold   bool
+	folded int
 }
 
-// planShapeOf assigns every element its ladder in the plan for obsLayer.
-// Grounding grids have few distinct ladder keys — a horizontal mesh at one
-// depth plus its rods — so sharing shrinks a plan from one ladder per
-// element to a handful.
-func (a *Assembler) planShapeOf(obsLayer int) planShape {
-	sh := planShape{ladder: make([]int32, len(a.mesh.Elements))}
+// planShapeOf assigns every element its ladder in the plan for obsLayer,
+// whose expansions are series (see layerSeries). Grounding grids have few
+// distinct ladder keys — a horizontal mesh at one depth plus its rods — so
+// sharing shrinks a plan from one ladder per element to a handful.
+func (a *Assembler) planShapeOf(obsLayer int, series [][][]soil.Image) planShape {
+	sh := planShape{ladder: make([]int32, len(a.mesh.Elements)), fold: obsLayer == 1}
 	index := map[ladderKey]int32{}
+	var grp, folded []planImage
 	for e := range a.mesh.Elements {
 		src := a.elemLayer[e]
-		series, ok := a.groups[[2]int{src, obsLayer}]
-		if !ok {
+		groups := series[src-1]
+		if groups == nil {
 			sh.ladder[e] = -1
 			sh.quad++
 			continue
 		}
 		seg := &a.mesh.Elements[e].Seg
-		k := ladderKey{src, math.Float64bits(seg.A.Z), math.Float64bits(seg.Dir().Z)}
+		tz := seg.Dir().Z
+		k := ladderKey{src, math.Float64bits(seg.A.Z), math.Float64bits(tz)}
 		li, ok := index[k]
 		if !ok {
 			li = int32(len(sh.firsts))
 			index[k] = li
 			sh.firsts = append(sh.firsts, int32(e))
-			sh.groups += len(series)
-			for _, grp := range series {
-				sh.imgs += len(grp)
+			sh.groups += len(groups)
+			for _, g := range groups {
+				sh.imgs += len(g)
+				if sh.fold {
+					grp = appendGroup(grp[:0], g, seg.A.Z, tz)
+					folded = foldGroup(folded[:0], grp)
+					sh.folded += len(folded)
+				}
 			}
 		}
 		sh.ladder[e] = li
@@ -242,12 +353,17 @@ func (a *Assembler) planShapeOf(obsLayer int) planShape {
 }
 
 // bytes returns the resident size of the plan with this shape: header,
-// element index, per-element headers and shared ladders.
+// element index, per-element headers, shared ladders and, for observation
+// layer 1, their folded surface copy.
 func (sh planShape) bytes() int64 {
 	m, quad := int64(len(sh.ladder)), int64(sh.quad)
-	return int64(unsafe.Sizeof(evalPlan{})) + 4*m +
+	n := int64(unsafe.Sizeof(evalPlan{})) + 4*m +
 		int64(unsafe.Sizeof(planElem{}))*(m-quad) + 4*quad +
 		int64(unsafe.Sizeof(planImage{}))*int64(sh.imgs) + 4*int64(sh.groups+1)
+	if sh.fold {
+		n += int64(unsafe.Sizeof(planImage{}))*int64(sh.folded) + 4*int64(sh.groups+1)
+	}
+	return n
 }
 
 // logI0 returns i0 = asinh(q/ρ) + asinh(p/ρ) = log((q+r1)(p+r0)/ρ²), where
@@ -267,13 +383,23 @@ func logI0(p, q, r0, r1, rho2 float64) float64 {
 }
 
 // PotentialAt evaluates the earth potential V(x) (per unit GPR) from the
-// solved DoF vector, matching Assembler.Potential to well below 1e-10. It
-// allocates nothing once the observation layer's plan is built, so it is the
-// per-point core the batch methods stream over.
+// solved DoF vector, matching the image-series potential to well below
+// 1e-10. Points on the surface plane (x.Z == 0 exactly) scan the folded
+// ladders. It allocates nothing once the observation layer's plan is built,
+// so it is the per-point core the batch methods stream over.
 func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
+	return fe.potential(x, sigma, x.Z == 0)
+}
+
+// potential is PotentialAt with the ladder choice explicit: fold selects
+// the folded surface copy, which is exact only for x.Z == 0.
+func (fe *FieldEvaluator) potential(x geom.Vec3, sigma []float64, fold bool) float64 {
 	a := fe.a
 	p := fe.plan(a.model.LayerOf(math.Max(x.Z, 0)))
 	imgs, grpOff := p.imgs, p.grpOff
+	if fold {
+		imgs, grpOff = p.fold, p.foldOff
+	}
 	linear := a.linear
 
 	var total quad.KahanSum
@@ -289,29 +415,43 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 		hxy := dx*pe.tx + dy*pe.ty
 		dxy2 := dx*dx + dy*dy
 		l, invL, r2min := pe.l, pe.invL, pe.radius2
+		// A horizontal source puts every image at the same axial
+		// projection hxy, so an equal-weight group takes one logarithm.
+		horizontal := pe.tz == 0
 
 		var accum float64
 		maxAccum := 0.0
 		smallGroups := 0
 		for g := pe.grpLo; g < pe.grpHi; g++ {
+			ims := imgs[grpOff[g]:grpOff[g+1]]
 			var gsum float64
-			for _, im := range imgs[grpOff[g]:grpOff[g+1]] {
-				dz := x.Z - im.az
-				pp := hxy + im.sz*dz
-				pp2 := pp * pp
-				rho2 := dxy2 + dz*dz - pp2
-				if rho2 < r2min {
-					rho2 = r2min
-				}
-				q := l - pp
-				r0 := math.Sqrt(rho2 + pp2)
-				r1 := math.Sqrt(rho2 + q*q)
-				i0 := logI0(pp, q, r0, r1, rho2)
+			if horizontal && fusable(ims) {
+				i0, sd := fusedGroup(ims, x.Z, hxy, l-hxy, dxy2, r2min)
 				if linear {
-					i1 := (r1 - r0 + pp*i0) * invL
-					gsum += im.w * (i0*s0 + i1*ds)
+					i1 := (sd + hxy*i0) * invL
+					gsum = ims[0].w * (i0*s0 + i1*ds)
 				} else {
-					gsum += im.w * i0 * s0
+					gsum = ims[0].w * i0 * s0
+				}
+			} else {
+				for _, im := range ims {
+					dz := x.Z - im.az
+					pp := hxy + im.sz*dz
+					pp2 := pp * pp
+					rho2 := dxy2 + dz*dz - pp2
+					if rho2 < r2min {
+						rho2 = r2min
+					}
+					q := l - pp
+					r0 := math.Sqrt(rho2 + pp2)
+					r1 := math.Sqrt(rho2 + q*q)
+					i0 := logI0(pp, q, r0, r1, rho2)
+					if linear {
+						i1 := (r1 - r0 + pp*i0) * invL
+						gsum += im.w * (i0*s0 + i1*ds)
+					} else {
+						gsum += im.w * i0 * s0
+					}
 				}
 			}
 			accum += gsum
@@ -335,8 +475,8 @@ func (fe *FieldEvaluator) PotentialAt(x geom.Vec3, sigma []float64) float64 {
 	return total.Sum()
 }
 
-// GradientAt evaluates ∇V(x) (V/m per unit GPR), matching
-// Assembler.GradPotential; like PotentialAt it is allocation-free in steady
+// GradientAt evaluates ∇V(x) (V/m per unit GPR) by differentiating the
+// image series term by term; like PotentialAt it is allocation-free in steady
 // state for image-kernel layer pairs.
 func (fe *FieldEvaluator) GradientAt(x geom.Vec3, sigma []float64) geom.Vec3 {
 	a := fe.a

@@ -120,10 +120,9 @@ func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScra
 	linear := a.linear
 	group := s.group
 	// Horizontal source elements (tz = 0 ⟹ sz = 0 for every image) see the
-	// same axial projection pp — and hence q — for all images of the pair:
-	// the image sum is then linear in Σw·i0 and Σw·(r1−r0), so groups whose
-	// images share one series weight (every MultiLayer group does) fuse
-	// their logarithms into a single call via Σ log aᵢ = log Π aᵢ.
+	// same axial projection pp — and hence q — for all images of the pair,
+	// so equal-weight groups take one logarithm per Gauss point
+	// (fusedGroup).
 	horizontal := pe.tz == 0
 
 	maxAccum := 0.0
@@ -133,56 +132,12 @@ func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScra
 			group[i] = 0
 		}
 		ims := imgs[grpOff[gi]:grpOff[gi+1]]
-		fused := horizontal && len(ims) > 1
-		if fused {
-			for _, im := range ims[1:] {
-				//lint:ignore floatcmp exact weight equality is the fusion precondition: Σ w·log aᵢ = w·log Π aᵢ only holds for one shared w
-				if im.w != ims[0].w {
-					fused = false
-					break
-				}
-			}
-		}
-		if fused {
+		if horizontal && fusable(ims) {
 			w := ims[0].w
 			var t0, t1, t2, t3 float64
 			for g := 0; g < ng; g++ {
 				pp := hxy[g]
-				q := l - pp
-				pp2, q2 := pp*pp, q*q
-				d2 := dxy2[g]
-				z := chiZ[g]
-				// One running product per Gauss point: num/den accumulates
-				// Π (q+r1)(pp+r0)/ρ² over the group's images, each factor in
-				// the same cancellation-rewritten form logI0 uses, so a
-				// single logarithm yields Σ i0. i0 > 0 for every image
-				// (pp+q = l > 0), so the fused sum has no cancellation.
-				num, den := 1.0, 1.0
-				sd := 0.0
-				for _, im := range ims {
-					dz := z - im.az
-					rho2 := d2 + dz*dz - pp2
-					if rho2 < r2min {
-						rho2 = r2min
-					}
-					r0 := math.Sqrt(rho2 + pp2)
-					r1 := math.Sqrt(rho2 + q2)
-					if pp >= 0 {
-						num *= pp + r0
-					} else {
-						num *= rho2
-						den *= r0 - pp
-					}
-					if q >= 0 {
-						num *= q + r1
-					} else {
-						num *= rho2
-						den *= r1 - q
-					}
-					den *= rho2
-					sd += r1 - r0
-				}
-				i0 := math.Log(num / den)
+				i0, sd := fusedGroup(ims, chiZ[g], pp, l-pp, dxy2[g], r2min)
 				if linear {
 					i1 := (sd + pp*i0) * invL
 					in0 := i0 - i1
@@ -276,4 +231,60 @@ func (a *Assembler) pairMatrixFlatOn(beta, alpha int, out []float64, s *pairScra
 	for i := range out {
 		out[i] *= pe.pref
 	}
+}
+
+// fusable reports whether a series group of a horizontal source can take
+// the fused path of fusedGroup: it has more than one image and all of them
+// share one series weight.
+func fusable(ims []planImage) bool {
+	if len(ims) < 2 {
+		return false
+	}
+	for _, im := range ims[1:] {
+		//lint:ignore floatcmp exact weight equality is the fusion precondition: Σ w·log aᵢ = w·log Π aᵢ only holds for one shared w
+		if im.w != ims[0].w {
+			return false
+		}
+	}
+	return true
+}
+
+// fusedGroup returns Σ i0 and Σ (r1 − r0) over the images of one series
+// group of a horizontal source, seen from an observation point at depth z
+// with axial projection pp, q = l − pp and squared horizontal distance d2
+// from the source start. A horizontal source puts every image at the same
+// pp and q, so the image sum is linear in Σ i0 and Σ (r1 − r0), and one
+// running product yields Σ i0 through a single logarithm
+// (Σ log aᵢ = log Π aᵢ): num/den accumulates Π (q+r1)(pp+r0)/ρ², each
+// factor in the cancellation-rewritten form of logI0. i0 > 0 for every
+// image (pp + q = l > 0), so the fused sum has no cancellation. The flat
+// kernel calls it once per Gauss point and the field evaluator once per
+// observation point.
+func fusedGroup(ims []planImage, z, pp, q, d2, r2min float64) (i0, sd float64) {
+	pp2, q2 := pp*pp, q*q
+	num, den := 1.0, 1.0
+	for _, im := range ims {
+		dz := z - im.az
+		rho2 := d2 + dz*dz - pp2
+		if rho2 < r2min {
+			rho2 = r2min
+		}
+		r0 := math.Sqrt(rho2 + pp2)
+		r1 := math.Sqrt(rho2 + q2)
+		if pp >= 0 {
+			num *= pp + r0
+		} else {
+			num *= rho2
+			den *= r0 - pp
+		}
+		if q >= 0 {
+			num *= q + r1
+		} else {
+			num *= rho2
+			den *= r1 - q
+		}
+		den *= rho2
+		sd += r1 - r0
+	}
+	return math.Log(num / den), sd
 }

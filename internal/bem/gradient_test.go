@@ -187,28 +187,12 @@ func TestGradFallbackForHankelModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad := a.GradPotential(geom.V(15, 5, 0.5), res.X)
+	grad := a.Evaluator().GradientAt(geom.V(15, 5, 0.5), res.X)
 	if grad.Norm() == 0 || !grad.IsFinite() {
 		t.Errorf("fallback gradient = %v", grad)
 	}
 	// Away from the grid on +x, V decreases with x.
 	if grad.X >= 0 {
 		t.Errorf("potential not decaying: grad %v", grad)
-	}
-}
-
-func BenchmarkGradPotential(b *testing.B) {
-	g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
-	m, _ := grid.Discretize(g, grid.Linear, 0)
-	a, err := New(m, soil.NewTwoLayer(0.005, 0.016, 1.0), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, _, _ := a.Matrix()
-	res, _ := linalg.SolveCG(r, RHS(m), linalg.CGOptions{})
-	x := geom.V(25, 10, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.GradPotential(x, res.X)
 	}
 }

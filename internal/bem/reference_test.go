@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"earthing/internal/linalg"
+	"earthing/internal/soil"
 )
 
 // The reference image-series kernel: every image-reflected segment is
@@ -20,10 +21,14 @@ import (
 func referenceMatrix(t testing.TB, a *Assembler) *linalg.SymMatrix {
 	t.Helper()
 	k := a.k
+	series := make([][][][]soil.Image, a.model.NumLayers()) // [obs−1][src−1]
+	for obs := range series {
+		series[obs] = a.layerSeries(obs + 1)
+	}
 	store := make([]float64, a.StoreSize())
 	if _, err := a.runPairLoop(context.Background(), func(beta, alpha int, s *pairScratch) {
 		idx := (beta*(beta+1)/2 + alpha) * k * k
-		a.pairMatrixReference(beta, alpha, store[idx:idx+k*k], s)
+		a.pairMatrixReference(beta, alpha, series[a.elemLayer[beta]-1][a.elemLayer[alpha]-1], store[idx:idx+k*k], s)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +36,24 @@ func referenceMatrix(t testing.TB, a *Assembler) *linalg.SymMatrix {
 }
 
 // pairMatrixReference is pairMatrix with the reference kernel in place of
-// the flat one.
-func (a *Assembler) pairMatrixReference(beta, alpha int, out []float64, s *pairScratch) {
+// the flat one; groups is the source layer's grouped expansion in the
+// observation layer, nil without one.
+func (a *Assembler) pairMatrixReference(beta, alpha int, groups [][]soil.Image, out []float64, s *pairScratch) {
 	for i := range out {
 		out[i] = 0
 	}
-	if _, ok := a.groups[[2]int{a.elemLayer[alpha], a.elemLayer[beta]}]; ok {
-		a.pairMatrixImages(beta, alpha, out, s)
+	if groups != nil {
+		a.pairMatrixImages(beta, alpha, groups, out, s)
 	} else {
 		a.pairMatrixQuadrature(beta, alpha, out, s)
 	}
 }
 
-func (a *Assembler) pairMatrixImages(beta, alpha int, out []float64, s *pairScratch) {
+func (a *Assembler) pairMatrixImages(beta, alpha int, groups [][]soil.Image, out []float64, s *pairScratch) {
 	k := a.k
 	elA := &a.mesh.Elements[alpha]
 	elB := &a.mesh.Elements[beta]
 	srcLayer := a.elemLayer[alpha]
-	obsLayer := a.elemLayer[beta]
-	groups := a.groups[[2]int{srcLayer, obsLayer}]
 	pref := 1 / (4 * math.Pi * a.model.Conductivity(srcLayer))
 	lenB := elB.Seg.Length()
 

@@ -177,7 +177,7 @@ func (r *Result) WithGPR(gpr float64) (*Result, error) {
 // PotentialAt returns the earth potential in volts at x for the configured
 // GPR (eq. 4.2).
 func (r *Result) PotentialAt(x geom.Vec3) float64 {
-	return r.GPR * r.asm.Potential(x, r.Sigma)
+	return r.GPR * r.asm.Evaluator().PotentialAt(x, r.Sigma)
 }
 
 // Assembler exposes the underlying BEM assembler (for batch post-processing).

@@ -12,9 +12,9 @@ import (
 )
 
 // FieldEvalBench records the batched field-evaluation benchmark on the
-// Figure 5.4 Balaidos raster (soil model B): the legacy per-point
-// Assembler.Potential path against the precomputed FieldEvaluator, single
-// thread and parallel. All ns/point figures are minima over Quality.Repeats.
+// Figure 5.4 Balaidos raster (soil model B): the FieldEvaluator on surface
+// points, single thread and parallel. All ns/point figures are minima over
+// Quality.Repeats.
 type FieldEvalBench struct {
 	// Model names the soil case ("B" — the two-layer Balaidos model).
 	Model string `json:"model"`
@@ -25,13 +25,8 @@ type FieldEvalBench struct {
 	// Elements is the BEM element count of the discretized grid.
 	Elements int `json:"elements"`
 
-	// LegacyNsPerPoint is the per-point cost of Assembler.Potential.
-	LegacyNsPerPoint float64 `json:"legacy_ns_per_point"`
 	// BatchNsPerPoint is the single-thread per-point cost of the evaluator.
 	BatchNsPerPoint float64 `json:"batch_ns_per_point"`
-	// SpeedupSingle = LegacyNsPerPoint / BatchNsPerPoint — the precompute
-	// win at equal parallelism (acceptance bar: ≥ 3).
-	SpeedupSingle float64 `json:"speedup_single_thread"`
 
 	// Workers is the parallel width of the parallel batch run.
 	Workers int `json:"workers"`
@@ -44,13 +39,6 @@ type FieldEvalBench struct {
 	PredictedSpeedup float64 `json:"predicted_speedup"`
 	// MeasuredSpeedup = BatchNsPerPoint / ParallelNsPerPoint.
 	MeasuredSpeedup float64 `json:"measured_speedup"`
-	// TotalSpeedup = LegacyNsPerPoint / ParallelNsPerPoint — precompute and
-	// parallelism combined.
-	TotalSpeedup float64 `json:"total_speedup"`
-
-	// MaxAbsDiff is max_i |V_legacy(x_i) − V_batch(x_i)| in raster units —
-	// the identical-output check (acceptance bar: ≤ 1e-10).
-	MaxAbsDiff float64 `json:"max_abs_diff"`
 }
 
 // RunFieldEval measures the field-evaluation engine on the Figure 5.4 raster
@@ -91,18 +79,6 @@ func RunFieldEval(q Quality, workers, nx, ny int) (FieldEvalBench, error) {
 		Elements: len(res.Mesh.Elements),
 	}
 
-	legacy := make([]float64, len(pts))
-	legacyWall, err := minDuration(q.Repeats, func() (time.Duration, error) {
-		t0 := time.Now()
-		for i, x := range pts {
-			legacy[i] = scale * a.Potential(x, sigma)
-		}
-		return time.Since(t0), nil
-	})
-	if err != nil {
-		return out, err
-	}
-
 	fe := a.Evaluator()
 	batch := make([]float64, len(pts))
 	fe.PotentialAt(pts[0], sigma) // build the plan outside the timings
@@ -124,24 +100,13 @@ func RunFieldEval(q Quality, workers, nx, ny int) (FieldEvalBench, error) {
 		return out, err
 	}
 
-	for i := range legacy {
-		if d := legacy[i] - batch[i]; d > out.MaxAbsDiff {
-			out.MaxAbsDiff = d
-		} else if -d > out.MaxAbsDiff {
-			out.MaxAbsDiff = -d
-		}
-	}
-
 	n := float64(len(pts))
-	out.LegacyNsPerPoint = float64(legacyWall.Nanoseconds()) / n
 	out.BatchNsPerPoint = float64(serialWall.Nanoseconds()) / n
-	out.SpeedupSingle = out.LegacyNsPerPoint / out.BatchNsPerPoint
 	out.Workers = parStats.Sched.Workers
 	out.ParallelNsPerPoint = float64(parWall.Nanoseconds()) / n
 	out.PointsPerSec = n / parWall.Seconds()
 	out.PredictedSpeedup = parStats.PredictedSpeedup()
 	out.MeasuredSpeedup = out.BatchNsPerPoint / out.ParallelNsPerPoint
-	out.TotalSpeedup = out.LegacyNsPerPoint / out.ParallelNsPerPoint
 	return out, nil
 }
 
@@ -156,15 +121,12 @@ func FieldEval(out io.Writer, q Quality, workers, nx, ny int, jsonPath string) (
 	if err != nil {
 		return err
 	}
-	header(w, "Field evaluation — Fig 5.4 Balaidos raster, legacy vs batched engine")
+	header(w, "Field evaluation — Fig 5.4 Balaidos raster, batched engine")
 	fmt.Fprintf(w, "model %s, %d×%d = %d points, %d elements\n",
 		fb.Model, fb.NX, fb.NY, fb.Points, fb.Elements)
-	fmt.Fprintf(w, "legacy per-point path:   %10.0f ns/point\n", fb.LegacyNsPerPoint)
-	fmt.Fprintf(w, "batch engine (1 thread): %10.0f ns/point   (speed-up %.2f×)\n",
-		fb.BatchNsPerPoint, fb.SpeedupSingle)
+	fmt.Fprintf(w, "batch engine (1 thread): %10.0f ns/point\n", fb.BatchNsPerPoint)
 	fmt.Fprintf(w, "batch engine (%d workers): %8.0f ns/point   (%.0f points/s, measured %.2f×, predicted %.2f×)\n",
 		fb.Workers, fb.ParallelNsPerPoint, fb.PointsPerSec, fb.MeasuredSpeedup, fb.PredictedSpeedup)
-	fmt.Fprintf(w, "max |ΔV| legacy vs batch: %.3g (×10 kV units)\n", fb.MaxAbsDiff)
 	if jsonPath == "" {
 		return nil
 	}

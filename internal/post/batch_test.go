@@ -9,7 +9,7 @@ import (
 )
 
 // TestProfilePotentialOptMatchesSerial checks the parallelized profile path
-// against the legacy per-point evaluation, bit-identical across worker
+// against per-point evaluation, bit-identical across worker
 // counts (same per-point arithmetic regardless of schedule).
 func TestProfilePotentialOptMatchesSerial(t *testing.T) {
 	res := solved(t)
@@ -27,7 +27,7 @@ func TestProfilePotentialOptMatchesSerial(t *testing.T) {
 	// And against direct per-point evaluation.
 	for i, x := range []float64{-5, 25} {
 		y := []float64{3, 17}[i]
-		direct := res.GPR * a.Potential(geom.V(x, y, 0), res.Sigma)
+		direct := res.GPR * a.Evaluator().PotentialAt(geom.V(x, y, 0), res.Sigma)
 		got := vSeq[i*(len(vSeq)-1)]
 		if math.Abs(got-direct) > 1e-9*(1+math.Abs(direct)) {
 			t.Errorf("endpoint %d: %v vs direct %v", i, got, direct)

@@ -229,4 +229,38 @@ func BenchmarkSurfacePotential(b *testing.B) {
 	}
 }
 
+// BenchmarkSurfaceRaster measures the single-worker surface raster — the
+// 16 × 16, 10 m margin window groundd serves — per soil model; ns/op is per
+// raster, after the evaluator's plan is built.
+func BenchmarkSurfaceRaster(b *testing.B) {
+	three, err := soil.NewMultiLayer([]float64{0.004, 0.02, 0.01}, []float64{1.0, 2.0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		model soil.Model
+	}{
+		{"uniform", soil.NewUniform(0.016)},
+		{"two-layer", soil.NewTwoLayer(0.005, 0.016, 1.0)},
+		{"three-layer", three},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := grid.RectMesh(0, 0, 20, 20, 3, 3, 0.8, 0.006)
+			res, err := core.Analyze(g, c.model, core.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := SurfaceOptions{NX: 16, NY: 16, Margin: 10, Workers: 1}
+			SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, 1, opt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SurfacePotential(res.Assembler(), res.Mesh, res.Sigma, 1, opt)
+			}
+			b.ReportMetric(float64(opt.NX*opt.NY*b.N)/b.Elapsed().Seconds(), "points/s")
+		})
+	}
+}
+
 var _ = bem.Options{} // keep the import for documentation examples

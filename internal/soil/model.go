@@ -54,8 +54,9 @@ type Model interface {
 	Conductivity(layer int) float64
 
 	// ImageExpansion returns all images of groups 0..maxGroup for a source
-	// in layer src observed in layer obs, and ok = true, when the model has
-	// a closed-form image representation. The kernel is then
+	// in layer src observed in layer obs, listed in group order, and
+	// ok = true, when the model has a closed-form image representation.
+	// The kernel is then
 	//
 	//	V(x) = 1/(4π·γ_src) · Σ Weight_l / r(x, ξ_l)
 	//

@@ -391,3 +391,26 @@ func BenchmarkMultiLayerPointPotential(b *testing.B) {
 		ml.PointPotential(x, xi)
 	}
 }
+
+// TestImageExpansionGroupOrder pins the Model contract that image
+// expansions are listed in group order, which lets callers split them into
+// series groups by subslicing.
+func TestImageExpansionGroupOrder(t *testing.T) {
+	ml, err := NewMultiLayer([]float64{0.004, 0.02, 0.01}, []float64{1.0, 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Model{NewUniform(0.01), NewTwoLayer(0.005, 0.016, 1.0), ml} {
+		for src := 1; src <= m.NumLayers(); src++ {
+			for obs := 1; obs <= m.NumLayers(); obs++ {
+				imgs, ok := m.ImageExpansion(src, obs, 40)
+				for i := 1; ok && i < len(imgs); i++ {
+					if imgs[i].Group < imgs[i-1].Group {
+						t.Fatalf("%s (%d, %d): image %d in group %d follows group %d",
+							m.Describe(), src, obs, i, imgs[i].Group, imgs[i-1].Group)
+					}
+				}
+			}
+		}
+	}
+}
